@@ -4,6 +4,8 @@
 // hidden states in compute mode, identical simulated latencies — and the
 // steady-state decode path must never consult the solver or profiler again.
 
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +33,57 @@ struct EngineRun {
   std::vector<Tensor> logits;
   std::vector<Tensor> hidden;
   std::vector<MicroSeconds> latencies;
+  uint64_t digest = 0;
 };
+
+// Recorded timing of one scenario: every step's latency and a digest of the
+// whole simulated kernel timeline.
+struct Golden {
+  std::vector<MicroSeconds> latencies;
+  uint64_t digest;
+};
+
+// 64-bit FNV-1a over every finished kernel's label, unit and start/end time
+// bit patterns, in submission order: any change to the kernel sequence or
+// to a single simulated timestamp changes it.
+uint64_t KernelDigest(sim::SocSimulator& soc) {
+  soc.DrainAll();
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  };
+  soc.VisitFinishedKernels([&](const std::string& label, sim::UnitId unit,
+                               MicroSeconds start, MicroSeconds end, Bytes,
+                               Flops) {
+    const uint64_t len = label.size();
+    mix(&len, sizeof(len));
+    mix(label.data(), label.size());
+    const int64_t u = unit;
+    mix(&u, sizeof(u));
+    uint64_t bits = 0;
+    std::memcpy(&bits, &start, sizeof(bits));
+    mix(&bits, sizeof(bits));
+    std::memcpy(&bits, &end, sizeof(bits));
+    mix(&bits, sizeof(bits));
+  });
+  return h;
+}
+
+// Latencies are compared bit for bit: the goldens are exact hex-float
+// literals.
+void ExpectGolden(const Golden& golden, const std::vector<MicroSeconds>& lat,
+                  uint64_t digest, const std::string& what) {
+  ASSERT_EQ(golden.latencies.size(), lat.size()) << what;
+  for (size_t i = 0; i < lat.size(); ++i) {
+    EXPECT_EQ(golden.latencies[i], lat[i])
+        << what << " step " << i << ": got " << std::hexfloat << lat[i];
+  }
+  EXPECT_EQ(golden.digest, digest)
+      << what << ": got 0x" << std::hex << digest << "ull";
+}
 
 // Prefill + two decode steps on a fresh engine/platform pair.
 EngineRun RunOnce(const std::string& engine_name, const ModelWeights& weights,
@@ -49,7 +101,44 @@ EngineRun RunOnce(const std::string& engine_name, const ModelWeights& weights,
     run.hidden.push_back(stats.hidden);
     run.latencies.push_back(stats.latency);
   }
+  run.digest = KernelDigest(platform.soc());
   return run;
+}
+
+const std::map<std::string, Golden>& EngineGoldens() {
+  static const auto* goldens = new std::map<std::string, Golden>{
+      {"llama.cpp",
+       {{0x1.972166a920aap+6, 0x1.648d334643ecp+5, 0x1.64a043eb4bfcp+5},
+        0xc1500e473e623285ull}},
+      {"MLC",
+       {{0x1.c1b7fa5a4dc1p+10, 0x1.be5efd7b3cc08p+10, 0x1.be5f212d7731p+10},
+        0x3ab361986634552eull}},
+      {"MNN-OpenCL",
+       {{0x1.7162986f28bep+10, 0x1.6e5c02a58a994p+10, 0x1.6e5c22e91809cp+10},
+        0xe2d556ad48971b10ull}},
+      {"PPL-OpenCL",
+       {{0x1.f208637bd05bp+8, 0x1.f208637bd05bp+8, 0x1.f208637bd05bp+8},
+        0xaf70d1c37104183aull}},
+      {"Hetero-layer",
+       {{0x1.d0e2ff9e020bp+9, 0x1.f208637bd05bp+8, 0x1.f208637bd05bp+8},
+        0xd95f5c6fe0510aadull}},
+      {"Hetero-tensor",
+       {{0x1.f208637bd05bp+8, 0x1.f208637bd05bp+8, 0x1.f208637bd05bp+8},
+        0xaf70d1c37104183aull}},
+      {"Online-prepare",
+       {{0x1.3148adc21e84cp+13, 0x1.1cdb7af99b61cp+13, 0x1.7586fc73837ep+9},
+        0x74c256f3add45555ull}},
+      {"Padding",
+       {{0x1.d0e2ff9e020bp+9, 0x1.7586dae59441p+9, 0x1.7586fc738382p+9},
+        0xe884f011f01e0e02ull}},
+      {"Pipe",
+       {{0x1.2e717fcf01058p+10, 0x1.7586dae59441p+9, 0x1.7586fc738382p+9},
+        0xafe0f441868e4af2ull}},
+      {"Chunked",
+       {{0x1.d0e2ff9e020bp+9, 0x1.7586dae59441p+9, 0x1.7586fc738382p+9},
+        0xe884f011f01e0e02ull}},
+  };
+  return *goldens;
 }
 
 class ScheduleEquivalenceTest : public ::testing::TestWithParam<const char*> {
@@ -81,6 +170,10 @@ TEST_P(ScheduleEquivalenceTest, CompiledReplayMatchesLegacyLoopExactly) {
     EXPECT_DOUBLE_EQ(legacy.latencies[i], compiled.latencies[i])
         << engine_name << " step " << i;
   }
+  ExpectGolden(EngineGoldens().at(engine_name), legacy.latencies,
+               legacy.digest, engine_name + " legacy");
+  ExpectGolden(EngineGoldens().at(engine_name), compiled.latencies,
+               compiled.digest, engine_name + " compiled");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
@@ -98,43 +191,104 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
                            return name;
                          });
 
-// The serving path (continuous-batching decode) replays a serving-mode
-// schedule; its timing must match the legacy loop too.
-TEST(ScheduleEquivalenceTest, ServingBatchedDecodeTimingMatchesLegacy) {
+// Runs `scenario` on a fresh simulate-mode Hetero-tensor engine over the
+// tiny model; returns the per-step latencies it collected and the digest of
+// the kernel timeline.
+template <typename Scenario>
+std::pair<std::vector<MicroSeconds>, uint64_t> RunServingScenario(
+    bool use_compiled_schedule, Scenario scenario) {
   const ModelConfig cfg = ModelConfig::Tiny();
   const ModelWeights weights =
       ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  Platform platform(PlatformOptionsFor("Hetero-tensor"));
+  EngineOptions opts;
+  opts.use_compiled_schedule = use_compiled_schedule;
+  auto engine = CreateEngine("Hetero-tensor", &platform, &weights, opts);
+  std::vector<MicroSeconds> latencies;
+  scenario(*engine, cfg, latencies);
+  return {latencies, KernelDigest(platform.soc())};
+}
 
-  auto run = [&](bool use_compiled_schedule) {
-    Platform platform(PlatformOptionsFor("Hetero-tensor"));
-    EngineOptions opts;
-    opts.use_compiled_schedule = use_compiled_schedule;
-    auto engine = CreateEngine("Hetero-tensor", &platform, &weights, opts);
+Tensor Deferred(const ModelConfig& cfg, int64_t rows) {
+  return Tensor::Deferred(Shape({rows, cfg.hidden}), tensor::DType::kFp16);
+}
 
-    std::vector<std::unique_ptr<KvCache>> caches;
-    std::vector<KvCache*> batch;
-    std::vector<MicroSeconds> latencies;
-    for (int i = 0; i < 3; ++i) {
-      caches.push_back(
-          std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-      PhaseStats prefill = engine->PrefillInto(
-          caches.back().get(),
-          Tensor::Deferred(Shape({64, cfg.hidden}), tensor::DType::kFp16));
-      latencies.push_back(prefill.latency);
-      batch.push_back(caches.back().get());
-    }
-    for (int step = 0; step < 3; ++step) {
-      latencies.push_back(engine->BatchedDecodeStep(batch).latency);
-    }
-    return latencies;
-  };
-
-  const std::vector<MicroSeconds> legacy = run(false);
-  const std::vector<MicroSeconds> compiled = run(true);
-  ASSERT_EQ(legacy.size(), compiled.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy[i], compiled[i]) << "iteration " << i;
+// Prefills `n` sessions of 64 tokens each into fresh caches.
+std::vector<KvCache*> PrefillSessions(
+    EngineBase& engine, const ModelConfig& cfg, int n,
+    std::vector<std::unique_ptr<KvCache>>& caches,
+    std::vector<MicroSeconds>& latencies) {
+  std::vector<KvCache*> batch;
+  for (int i = 0; i < n; ++i) {
+    caches.push_back(
+        std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
+    latencies.push_back(
+        engine.PrefillInto(caches.back().get(), Deferred(cfg, 64)).latency);
+    batch.push_back(caches.back().get());
   }
+  return batch;
+}
+
+template <typename Scenario>
+void ExpectServingGolden(const Golden& golden, Scenario scenario) {
+  const auto legacy = RunServingScenario(false, scenario);
+  const auto compiled = RunServingScenario(true, scenario);
+  ExpectGolden(golden, legacy.first, legacy.second, "legacy");
+  ExpectGolden(golden, compiled.first, compiled.second, "compiled");
+}
+
+// Continuous-batching decode: three sessions, three batched iterations.
+TEST(ScheduleEquivalenceTest, ServingBatchedDecodeTimingMatchesLegacy) {
+  const Golden golden = {{0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.170c9539b8888p+9,
+                          0x1.170c9539b8888p+9,
+                          0x1.170c9539b8888p+9},
+                         0xa61172c73c7d7bcull};
+  ExpectServingGolden(golden, [](EngineBase& engine, const ModelConfig& cfg,
+                                 std::vector<MicroSeconds>& latencies) {
+    std::vector<std::unique_ptr<KvCache>> caches;
+    const std::vector<KvCache*> batch =
+        PrefillSessions(engine, cfg, 3, caches, latencies);
+    for (int step = 0; step < 3; ++step) {
+      latencies.push_back(engine.BatchedDecodeStep(batch).latency);
+    }
+  });
+}
+
+// Batched speculative verify: two sessions, window 3 (four rows per slot).
+TEST(ScheduleEquivalenceTest, ServingBatchedVerifyTimingMatchesLegacy) {
+  const Golden golden = {{0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.08218def416cp+9,
+                          0x1.08218def416cp+9},
+                         0x389ffd3be1b3f0eaull};
+  ExpectServingGolden(golden, [](EngineBase& engine, const ModelConfig& cfg,
+                                 std::vector<MicroSeconds>& latencies) {
+    std::vector<std::unique_ptr<KvCache>> caches;
+    const std::vector<KvCache*> batch =
+        PrefillSessions(engine, cfg, 2, caches, latencies);
+    for (int step = 0; step < 2; ++step) {
+      latencies.push_back(engine.BatchedVerifyStep(batch, 4).latency);
+    }
+  });
+}
+
+// A 37-token prompt prefilled as two chunks, then one decode step.
+TEST(ScheduleEquivalenceTest, ChunkedPrefillTimingMatchesLegacy) {
+  const Golden golden = {{0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8},
+                         0x11fdc9e6e50d045ull};
+  ExpectServingGolden(golden, [](EngineBase& engine, const ModelConfig& cfg,
+                                 std::vector<MicroSeconds>& latencies) {
+    KvCache cache(cfg, 256, ExecutionMode::kSimulate);
+    const Tensor prompt = Deferred(cfg, 37);
+    latencies.push_back(engine.PrefillChunk(&cache, prompt, 0, 20).latency);
+    latencies.push_back(engine.PrefillChunk(&cache, prompt, 20, 17).latency);
+    latencies.push_back(engine.DecodeInto(&cache, Deferred(cfg, 1)).latency);
+  });
 }
 
 // Fused-QKV execution (FuseQkv pass -> one matmul + column slices) must

@@ -17,6 +17,19 @@ using tensor::QuantizedTensor;
 using tensor::Shape;
 using tensor::Tensor;
 
+Batch Batch::Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
+                      int64_t rows, int64_t hidden) {
+  Batch batch;
+  batch.phase = phase;
+  batch.input = Tensor::Deferred(
+      Shape({static_cast<int64_t>(caches.size()) * rows, hidden}),
+      tensor::DType::kFp16);
+  for (model::KvCache* cache : caches) {
+    batch.slots.push_back({cache, rows});
+  }
+  return batch;
+}
+
 EngineBase::EngineBase(Platform* platform,
                        const model::ModelWeights* weights,
                        const EngineOptions& options)
@@ -53,110 +66,6 @@ void EngineBase::AcquireWorkspace() {
 void EngineBase::ResetSession() {
   kv_cache_->Reset();
   synced_kernels_.clear();
-}
-
-model::KvCache& EngineBase::session_cache(size_t slot) {
-  if (batch_caches_.empty()) {
-    HCHECK(slot == 0);
-    return *kv_cache_;
-  }
-  HCHECK(slot < batch_caches_.size());
-  return *batch_caches_[slot];
-}
-
-PhaseStats EngineBase::PrefillInto(model::KvCache* cache,
-                                   const Tensor& prompt) {
-  HCHECK(cache != nullptr);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  PhaseStats stats = Prefill(prompt);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::PrefillFrom(model::KvCache* cache,
-                                   const Tensor& prompt, int64_t start_pos) {
-  HCHECK(start_pos >= 0 && start_pos < prompt.shape().rows());
-  return PrefillChunk(cache, prompt, start_pos,
-                      prompt.shape().rows() - start_pos);
-}
-
-PhaseStats EngineBase::PrefillChunk(model::KvCache* cache,
-                                    const Tensor& prompt, int64_t offset,
-                                    int64_t len) {
-  HCHECK(cache != nullptr);
-  HCHECK(offset >= 0 && len >= 1 && offset + len <= prompt.shape().rows());
-  HCHECK_MSG(cache->length() == offset,
-             "cache length must equal the chunk start offset");
-  if (offset == 0 && len == prompt.shape().rows()) {
-    return PrefillInto(cache, prompt);
-  }
-  return PrefillInto(cache, prompt.SliceRows(offset, offset + len));
-}
-
-PhaseStats EngineBase::DecodeInto(model::KvCache* cache, const Tensor& token) {
-  HCHECK(cache != nullptr);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  PhaseStats stats = DecodeStep(token);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::BatchedDecodeStep(
-    const std::vector<model::KvCache*>& caches) {
-  HCHECK(!caches.empty());
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  for (model::KvCache* cache : caches) {
-    HCHECK(cache != nullptr);
-  }
-  // Batched decoding shares one forward pass across sessions whose cache
-  // contents differ; the serving layer is a timing simulation.
-  HCHECK_MSG(mode_ == ExecutionMode::kSimulate,
-             "batched decoding is timing-only (ExecutionMode::kSimulate)");
-  batch_caches_ = caches;
-  const Tensor tokens = Tensor::Deferred(
-      Shape({static_cast<int64_t>(caches.size()), weights_->config().hidden}),
-      tensor::DType::kFp16);
-  PhaseStats stats = DecodeStep(tokens);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::VerifyInto(model::KvCache* cache,
-                                  const Tensor& tokens) {
-  HCHECK(cache != nullptr);
-  HCHECK(tokens.shape().rank() == 2);
-  HCHECK(tokens.shape().cols() == weights_->config().hidden);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  all_rows_logits_ = true;
-  PhaseStats stats = DecodeStep(tokens);
-  all_rows_logits_ = false;
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::BatchedVerifyStep(
-    const std::vector<model::KvCache*>& caches, int64_t rows_per_slot) {
-  HCHECK(!caches.empty());
-  HCHECK(rows_per_slot >= 1);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  for (model::KvCache* cache : caches) {
-    HCHECK(cache != nullptr);
-  }
-  HCHECK_MSG(mode_ == ExecutionMode::kSimulate,
-             "batched verify is timing-only (ExecutionMode::kSimulate)");
-  batch_caches_ = caches;
-  serving_rows_per_slot_ = rows_per_slot;
-  const Tensor tokens = Tensor::Deferred(
-      Shape({static_cast<int64_t>(caches.size()) * rows_per_slot,
-             weights_->config().hidden}),
-      tensor::DType::kFp16);
-  PhaseStats stats = DecodeStep(tokens);
-  serving_rows_per_slot_ = 1;
-  batch_caches_.clear();
-  return stats;
 }
 
 void EngineBase::PregenerateNpuGraphs(const std::vector<int64_t>& seq_lens,
@@ -312,20 +221,6 @@ hal::Precision EngineBase::MatmulPrecision(Phase phase) const {  // NOLINT
                                  : hal::Precision::kFp16;
 }
 
-EngineBase::Value EngineBase::ExecuteMatmul(MatmulSite site, Value& input,
-                                            const QuantizedTensor& w,
-                                            Phase phase) {
-  MatmulShape shape;
-  shape.m = input.tensor.shape().rows();
-  shape.n = w.shape().rows();
-  shape.k = w.shape().cols();
-  shape.precision = hal::Precision::kFp16;
-  MatmulPlan plan = PlanMatmul(site, shape, phase);
-  const int64_t op_id =
-      GraphOpId(site == MatmulSite::kLmHead ? 0 : current_layer_, site);
-  return ExecuteMatmulPlanned(site, op_id, plan, input, {&w}, phase);
-}
-
 EngineBase::Value EngineBase::ExecuteMatmulPlanned(
     MatmulSite site, int64_t op_id, const MatmulPlan& plan, Value& input,
     const std::vector<const QuantizedTensor*>& parts, Phase phase) {
@@ -432,7 +327,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
           has_gpu_piece
               ? Tensor::ConcatCols({npu_piece.tensor, gpu_piece.tensor})
               : std::move(npu_piece.tensor);
-      if (has_gpu_piece && phase == Phase::kDecode && decode_pipelining_) {
+      if (has_gpu_piece && phase == Phase::kDecode) {
         // GPU-dominant pipelining: leave the GPU piece pending; queue order
         // synchronizes any same-device consumer, and a cross-device
         // consumer will fast-sync on it (§4.2).
@@ -558,141 +453,84 @@ EngineBase::Value EngineBase::Rope(Value& x, int64_t pos_offset) {
 }
 
 EngineBase::Value EngineBase::Attention(Value& q, int layer,
+                                        const std::vector<Batch::Slot>& slots,
                                         int64_t pos_offset) {
   const auto& cfg = weights_->config();
-  model::KvCache& cache = session_cache(0);
   hal::Device& dev = platform_->device(vector_backend());
-  hal::AttentionSpec spec;
-  spec.m = q.tensor.shape().rows();
-  // Causal attention: query row i attends to pos_offset + i + 1 positions;
-  // charge the average span rather than the full rectangle.
-  const int64_t kv_len = cache.K(layer).shape().rows();
-  spec.t = kv_len - spec.m + (spec.m + 1) / 2;
-  spec.num_heads = cfg.num_heads;
-  spec.num_kv_heads = cfg.num_kv_heads;
-  spec.head_dim = cfg.head_dim;
-  sim::KernelDesc desc = dev.CostAttention(spec);
-  desc.label = StrFormat("attn:L%d", layer);
-
-  tensor::AttentionParams params;
-  params.num_heads = cfg.num_heads;
-  params.num_kv_heads = cfg.num_kv_heads;
-  params.head_dim = cfg.head_dim;
-  params.q_pos_offset = pos_offset;
-  Tensor out = tensor::GqaAttention(q.tensor, cache.K(layer), cache.V(layer),
-                                    params);
-  return SubmitKernel(dev, desc, {&q}, std::move(out));
-}
-
-EngineBase::Value EngineBase::BatchedAttention(Value& q, int layer) {
-  const auto& cfg = weights_->config();
-  hal::Device& dev = platform_->device(vector_backend());
-  // One attention kernel per session: each slot reads its own cache length,
-  // so the cost tracks every conversation's true history (the part of a
-  // decode iteration that does NOT amortize with batching). A slot covers
-  // one query row in plain continuous batching, window+1 rows during a
-  // batched speculative verify.
-  const int64_t per = serving_rows_per_slot_;
+  // One attention kernel per slot: each reads its own cache length, so the
+  // cost tracks every conversation's true history (the part of a batched
+  // iteration that does NOT amortize with batching).
   Value merged;
-  for (size_t slot = 0; slot < session_count(); ++slot) {
+  for (const Batch::Slot& slot : slots) {
     hal::AttentionSpec spec;
-    spec.m = per;
-    // Causal: query row i of the slot attends to kv_len - per + i + 1
-    // positions; charge the average span (matches Attention above).
-    const int64_t kv_len = session_cache(slot).K(layer).shape().rows();
-    spec.t = kv_len - per + (per + 1) / 2;
+    spec.m = slot.rows;
+    // Causal attention: query row i attends to kv_len - m + i + 1
+    // positions; charge the average span rather than the full rectangle.
+    const int64_t kv_len = slot.cache->K(layer).shape().rows();
+    spec.t = kv_len - spec.m + (spec.m + 1) / 2;
     spec.num_heads = cfg.num_heads;
     spec.num_kv_heads = cfg.num_kv_heads;
     spec.head_dim = cfg.head_dim;
     sim::KernelDesc desc = dev.CostAttention(spec);
     desc.label = StrFormat("attn:L%d", layer);
-    Tensor out =
-        Tensor::Deferred(Shape({per, cfg.q_dim()}), tensor::DType::kFp16);
-    Value piece = SubmitKernel(dev, desc, {&q}, std::move(out));
+    Value piece = SubmitKernel(dev, desc, {&q}, Tensor());
     merged.deps.insert(merged.deps.end(), piece.deps.begin(),
                        piece.deps.end());
   }
-  merged.tensor = Tensor::Deferred(
-      Shape({static_cast<int64_t>(session_count()) * per, cfg.q_dim()}),
-      tensor::DType::kFp16);
+  // Numerics: one slot attends over its own cache from `pos_offset`; a
+  // multi-slot batch is timing-only, so its output stays deferred.
+  if (slots.size() == 1) {
+    tensor::AttentionParams params;
+    params.num_heads = cfg.num_heads;
+    params.num_kv_heads = cfg.num_kv_heads;
+    params.head_dim = cfg.head_dim;
+    params.q_pos_offset = pos_offset;
+    merged.tensor = tensor::GqaAttention(q.tensor, slots[0].cache->K(layer),
+                                         slots[0].cache->V(layer), params);
+  } else {
+    merged.tensor = Tensor::Deferred(
+        Shape({q.tensor.shape().rows(), cfg.q_dim()}), tensor::DType::kFp16);
+  }
   return merged;
 }
 
-EngineBase::Value EngineBase::RunLayer(int layer, Value hidden, Phase phase) {
-  current_layer_ = layer;
-  const model::LayerWeights& lw = weights_->layer(layer);
-  // In a serving batch the sessions sit at different positions; slot 0's
-  // offset prices the RoPE kernel (cost is position-independent) while
-  // appends/attention below use each slot's own cache.
-  const int64_t past = session_cache(0).length();
-
-  Value normed = RmsNorm(hidden, lw.attn_norm);
-  Value q = ExecuteMatmul(MatmulSite::kQ, normed, lw.wq, phase);
-  Value k = ExecuteMatmul(MatmulSite::kK, normed, lw.wk, phase);
-  Value v = ExecuteMatmul(MatmulSite::kV, normed, lw.wv, phase);
-  Value q_rot = Rope(q, past);
-  Value k_rot = Rope(k, past);
-
-  // The cache append itself is a strided device-side write folded into the
-  // projection kernels; attention's kernel dependencies flow through q/k/v.
-  if (serving_batch()) {
-    const int64_t per = serving_rows_per_slot_;
-    for (size_t slot = 0; slot < session_count(); ++slot) {
-      const int64_t r = static_cast<int64_t>(slot) * per;
-      session_cache(slot).AppendLayer(layer,
-                                      k_rot.tensor.SliceRows(r, r + per),
-                                      v.tensor.SliceRows(r, r + per));
-    }
-  } else {
-    session_cache(0).AppendLayer(layer, k_rot.tensor, v.tensor);
+PhaseStats EngineBase::Execute(const Batch& batch) {
+  const Tensor& input = batch.input;
+  HCHECK(input.shape().rank() == 2);
+  HCHECK(input.shape().cols() == weights_->config().hidden);
+  HCHECK(!batch.slots.empty());
+  int64_t rows = 0;
+  for (const Batch::Slot& slot : batch.slots) {
+    HCHECK(slot.cache != nullptr && slot.rows >= 1);
+    rows += slot.rows;
   }
-  // Attention (on the vector backend) must see k/v results.
-  hal::Device& vec_dev = platform_->device(vector_backend());
-  EnsureVisible(k_rot, vec_dev);
-  EnsureVisible(v, vec_dev);
-  Value attn = serving_batch() ? BatchedAttention(q_rot, layer)
-                               : Attention(q_rot, layer, past);
-
-  Value o = ExecuteMatmul(MatmulSite::kO, attn, lw.wo, phase);
-  Value h1 = Add(hidden, o);
-  Value n2 = RmsNorm(h1, lw.ffn_norm);
-  Value gate = ExecuteMatmul(MatmulSite::kGate, n2, lw.w_gate, phase);
-  Value up = ExecuteMatmul(MatmulSite::kUp, n2, lw.w_up, phase);
-  Value act = SwiGlu(gate, up);
-  Value down = ExecuteMatmul(MatmulSite::kDown, act, lw.w_down, phase);
-  return Add(h1, down);
-}
-
-PhaseStats EngineBase::RunStack(const Tensor& input, Phase phase) {
+  HCHECK_MSG(rows == input.shape().rows(),
+             "batch slot rows must add up to the input rows");
+  // Sessions in one batch hold different cache contents; one forward pass
+  // cannot produce their numerics, so multi-slot batches are timing-only.
+  const bool serving = batch.slots.size() > 1;
+  HCHECK_MSG(!serving || mode_ == ExecutionMode::kSimulate,
+             "multi-slot batches are timing-only (ExecutionMode::kSimulate)");
   // Pin the compute-kernel thread count for everything this step runs
   // (matmuls, norms, attention). Numerics are bit-exact across settings;
   // only host wall-clock changes.
   tensor::KernelThreadScope kernel_scope(options_.kernel_threads);
   RefreshDeviceState();
-  // One transactional KV step per session slot: every layer must append its
-  // rows before the commit below, or the cache aborts — the per-layer
-  // "all layers appended the same rows" contract is enforced here instead
-  // of trusted.
-  const int64_t per_slot =
-      serving_batch() ? serving_rows_per_slot_ : input.shape().rows();
-  HCHECK(per_slot * static_cast<int64_t>(session_count()) ==
-         input.shape().rows());
-  for (size_t slot = 0; slot < session_count(); ++slot) {
-    session_cache(slot).BeginStep(per_slot);
+  // One transactional KV step per slot: every layer must append its rows
+  // before the commit below, or the cache aborts — the per-layer "all
+  // layers appended the same rows" contract is enforced here instead of
+  // trusted.
+  for (const Batch::Slot& slot : batch.slots) {
+    slot.cache->BeginStep(slot.rows);
   }
-  PhaseStats stats;
-  if (!options_.use_compiled_schedule) {
-    stats = RunStackLegacy(input, phase);
-  } else {
-    // A speculative verify wants every row's logits — exactly the serving
-    // schedule's shape (kLastRows = identity, LM head planned at full m), so
-    // the two share cache entries.
-    const graph::CompiledSchedule& sched = ScheduleFor(
-        phase, input.shape().rows(), serving_batch() || all_rows_logits_);
-    stats = ScheduleExecutor(this).Run(sched, input);
-  }
-  for (size_t slot = 0; slot < session_count(); ++slot) {
-    session_cache(slot).CommitStep();
+  // Every-row logits are exactly the serving schedule's shape (kLastRows =
+  // identity, LM head planned at full m), so verify and serving batches
+  // share cache entries.
+  const graph::CompiledSchedule& sched =
+      ScheduleFor(batch.phase, rows, serving || batch.all_logits);
+  PhaseStats stats = ScheduleExecutor(this).Run(sched, batch);
+  for (const Batch::Slot& slot : batch.slots) {
+    slot.cache->CommitStep();
   }
   return stats;
 }
@@ -712,8 +550,9 @@ const graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase,
   graph::Graph g = graph::BuildModelGraph(cfg);
   Status shaped = graph::InferShapes(&g, cfg, rows);
   HCHECK_MSG(shaped.ok(), shaped.message().c_str());
-  // FuseSiluMul always applies — the legacy loop's SwiGlu kernel is the
-  // fused form. FuseQkv changes kernel granularity, so it is opt-in.
+  // FuseSiluMul always applies: the engine runs SiLU and the gate product
+  // as one SwiGlu kernel. FuseQkv changes kernel granularity, so it is
+  // opt-in.
   g = graph::FuseSiluMul(g).graph;
   if (options_.fuse_qkv) {
     g = graph::FuseQkv(g).graph;
@@ -793,50 +632,12 @@ void EngineBase::RefreshDeviceState() {
   host_now_ += options_.replan_cost_us;
 }
 
-PhaseStats EngineBase::RunStackLegacy(const Tensor& input, Phase phase) {
-  const MicroSeconds start = host_now_;
-  graph_gen_accum_ = 0;
-
-  Value hidden;
-  hidden.tensor = input;
-  for (int layer = 0; layer < weights_->config().num_layers; ++layer) {
-    hidden = RunLayer(layer, std::move(hidden), phase);
-  }
-  Value final_norm = RmsNorm(hidden, weights_->final_norm());
-
-  // LM head over the last position only — unless every row's logits are
-  // needed: in a serving batch each row is its session's last position, and
-  // a speculative verify reads the argmax at every draft position.
-  const int64_t rows = final_norm.tensor.shape().rows();
-  Value last;
-  last.tensor = serving_batch() || all_rows_logits_
-                    ? final_norm.tensor
-                    : final_norm.tensor.SliceRows(rows - 1, rows);
-  last.deps = final_norm.deps;
-  Value logits =
-      ExecuteMatmul(MatmulSite::kLmHead, last, weights_->lm_head(), phase);
-  EnsureHost(logits);
-  EnsureHost(final_norm);
-
-  PhaseStats stats;
-  stats.latency = host_now_ - start;
-  stats.graph_gen_time = graph_gen_accum_;
-  stats.tokens = static_cast<int>(input.shape().rows());
-  stats.hidden = std::move(final_norm.tensor);
-  stats.logits = std::move(logits.tensor);
-  return stats;
-}
-
 PhaseStats EngineBase::Prefill(const Tensor& prompt) {
-  HCHECK(prompt.shape().rank() == 2);
-  HCHECK(prompt.shape().cols() == weights_->config().hidden);
-  return RunStack(prompt, Phase::kPrefill);
+  return Execute(Batch::One(Phase::kPrefill, kv_cache_.get(), prompt));
 }
 
 PhaseStats EngineBase::DecodeStep(const Tensor& token) {
-  HCHECK(token.shape().rank() == 2);
-  HCHECK(token.shape().cols() == weights_->config().hidden);
-  return RunStack(token, Phase::kDecode);
+  return Execute(Batch::One(Phase::kDecode, kv_cache_.get(), token));
 }
 
 GenerationStats EngineBase::Generate(int prompt_len, int decode_len) {

@@ -6,6 +6,12 @@
 // real (FP32/W4A16) in `ExecutionMode::kCompute` and shape-only in
 // `kSimulate`; timing is always real (simulated clocks).
 //
+// One entry point runs the stack: `Execute(const Batch&)`. It compiles the
+// decoder graph into a `graph::CompiledSchedule` once per (phase, rows,
+// serving) bucket and replays it (ScheduleExecutor) on the batch's rows and
+// KV caches. `Prefill`/`DecodeStep` are one-slot wrappers over the engine's
+// own session cache.
+//
 // Concrete engines differ only in *policy*:
 //   * which backend (or partition of backends) runs each matmul site,
 //   * which backend runs vector ops (norms/attention/activations),
@@ -28,6 +34,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/core/partition.h"
@@ -99,11 +106,6 @@ struct EngineOptions {
   // matmul throughput (the sustained rate is thermally limited anyway) at
   // markedly better perf/W, and headroom left for rendering (§5.5, §5.6).
   double gpu_power_scale = 1.0;
-  // Execute through the graph IR: build + optimize + place the decoder
-  // graph, compile it into a CompiledSchedule (once per phase/rows/batch)
-  // and replay it. Off = the legacy hand-coded loop (kept for equivalence
-  // tests); both paths produce identical numerics and timing.
-  bool use_compiled_schedule = true;
   // Run the FuseQkv pass before placement: one fused QKV matmul per layer
   // (one NPU graph + submission instead of three). Changes the executed
   // kernel sequence, hence simulated latencies, so it is opt-in.
@@ -127,99 +129,72 @@ struct EngineOptions {
   int kernel_threads = 0;
 };
 
-class InferenceEngine {
- public:
-  virtual ~InferenceEngine() = default;
-  virtual std::string name() const = 0;
+// One engine iteration: the rows to run and the KV cache each belongs to.
+// Slot i owns the next `slots[i].rows` rows of `input` (in slot order) and
+// appends them to its cache, whose current length is the slot's position
+// offset: RoPE offsets and attention spans come from it. So a prefill chunk
+// is just a prefill batch over a cache that already holds the preceding
+// chunks (or an adopted prefix-cache hit), and committing a prompt
+// chunk-by-chunk yields a cache and final-chunk logits bit-identical to
+// one-shot prefill.
+//
+// Matmuls run once over all rows, streaming each weight once for the whole
+// batch (the continuous-batching amortization); cache appends and attention
+// stay per slot. A batch of more than one slot is timing-only (requires
+// ExecutionMode::kSimulate): its sessions' cache contents differ, so one
+// forward pass cannot produce their numerics.
+struct Batch {
+  struct Slot {
+    model::KvCache* cache = nullptr;
+    int64_t rows = 1;
+  };
 
-  // Processes the prompt `[M, hidden]`, filling the KV cache.
-  virtual PhaseStats Prefill(const tensor::Tensor& prompt) = 0;
+  // A batch of one slot: every row of `input` appends to `cache`.
+  static Batch One(Phase phase, model::KvCache* cache, tensor::Tensor input) {
+    const int64_t rows = input.shape().rows();
+    return Batch{phase, std::move(input), {{cache, rows}}};
+  }
+  // A timing-only batch of deferred input rows: each of `caches` appends
+  // `rows` rows (the serving layer's synthetic prompts and decode steps).
+  static Batch Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
+                        int64_t rows, int64_t hidden);
 
-  // One decoding step with input `[width, hidden]` (width > 1 for
-  // speculative decoding).
-  virtual PhaseStats DecodeStep(const tensor::Tensor& token) = 0;
-
-  // Clears the KV cache and per-session state (clocks keep advancing).
-  virtual void ResetSession() = 0;
+  Phase phase = Phase::kDecode;
+  tensor::Tensor input;  // [sum of slot rows, hidden]
+  std::vector<Slot> slots;
+  // Return logits for every row, not just the last: a speculative verify
+  // reads the argmax at each draft position. Batches of more than one slot
+  // always do (in a decode batch each row is its session's last position).
+  bool all_logits = false;
 };
 
 // EngineBase doubles as the graph placement policy (graph::PlacementPolicy):
-// the same PlanMatmul/vector_backend virtuals that drive the legacy loop
-// drive the placement pass, so concrete engines stay pure policy.
-class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
+// its PlanMatmul/vector_backend virtuals drive the placement pass, so
+// concrete engines stay pure policy.
+class EngineBase : public graph::PlacementPolicy {
  public:
   EngineBase(Platform* platform, const model::ModelWeights* weights,
              const EngineOptions& options);
 
-  PhaseStats Prefill(const tensor::Tensor& prompt) override;
-  PhaseStats DecodeStep(const tensor::Tensor& token) override;
-  void ResetSession() override;
+  virtual std::string name() const = 0;
+
+  // Runs `batch` through the whole stack (see Batch) and commits every
+  // slot's appended rows. The returned logits cover the last row, or every
+  // row when the batch asks for all of them. Virtual only so a concrete
+  // engine can split a prefill into the fixed chunks its NPU graphs need.
+  virtual PhaseStats Execute(const Batch& batch);
+
+  // One-slot batches over the engine's own session cache: the prompt
+  // `[M, hidden]`, or one decoding step `[width, hidden]`.
+  PhaseStats Prefill(const tensor::Tensor& prompt);
+  PhaseStats DecodeStep(const tensor::Tensor& token);
+
+  // Clears the KV cache and per-session state (clocks keep advancing).
+  void ResetSession();
 
   // Convenience driver: prefill `prompt_len` synthetic tokens then decode
   // `decode_len` steps; gathers latency/energy metrics.
   GenerationStats Generate(int prompt_len, int decode_len);
-
-  // --- multi-session serving (src/serve/) ----------------------------------
-  // The serving scheduler multiplexes many concurrent sessions over one
-  // engine. Each session owns its KV cache; the engine runs an iteration
-  // against the caches handed to it instead of its built-in session cache.
-
-  // Prefills `prompt` into `cache` (instead of the engine's own cache).
-  PhaseStats PrefillInto(model::KvCache* cache, const tensor::Tensor& prompt);
-
-  // Prefill-from-offset: `cache` already holds `start_pos` committed
-  // positions (a prefix-cache hit adopted via KvCache::AdoptPrefix); only
-  // rows [start_pos, prompt rows) are run — and priced — through the stack.
-  // RoPE offsets and attention spans come from the cache length, so the
-  // residual tokens attend over the full cached prefix. `start_pos` must be
-  // < prompt rows (the last position is never cached).
-  PhaseStats PrefillFrom(model::KvCache* cache, const tensor::Tensor& prompt,
-                         int64_t start_pos);
-
-  // One transactional prefill chunk: runs — and prices — only rows
-  // [offset, offset + len) of `prompt` against `cache`, which must hold
-  // exactly `offset` committed positions (the preceding chunks, or an
-  // adopted prefix-cache hit). RoPE offsets and attention spans come from
-  // the cache length, so chunking is numerically transparent: committing a
-  // prompt chunk-by-chunk yields a cache (and final-chunk logits)
-  // bit-identical to one-shot prefill. `PrefillFrom` is the
-  // run-to-the-end special case.
-  PhaseStats PrefillChunk(model::KvCache* cache, const tensor::Tensor& prompt,
-                          int64_t offset, int64_t len);
-
-  // One single-session decode step against `cache` (any ExecutionMode —
-  // unlike BatchedDecodeStep there is one forward pass over one cache, so
-  // compute-mode numerics are meaningful).
-  PhaseStats DecodeInto(model::KvCache* cache, const tensor::Tensor& token);
-
-  // One continuous-batching decode iteration: row i of the synthetic
-  // [B, hidden] input is the next token of the session behind `caches[i]`.
-  // Matmuls run once at m = B, streaming each weight once for the whole
-  // batch (the continuous-batching amortization); RoPE offsets, cache
-  // appends and attention remain per-session. B > 1 is timing-only
-  // (requires ExecutionMode::kSimulate).
-  PhaseStats BatchedDecodeStep(const std::vector<model::KvCache*>& caches);
-
-  // --- speculative decoding -------------------------------------------------
-
-  // Speculative verify: scores the k+1 rows of `tokens` ([t0, d1..dk] as
-  // embeddings) against `cache` in ONE pass, returning logits for EVERY row
-  // — row i's argmax decides whether draft i+1 is accepted. Decode is
-  // memory-bound on every backend the paper characterizes, so the batched
-  // pass streams the weights once and costs barely more than one token.
-  // All k rows are appended to the cache; the caller rolls the rejected
-  // suffix back with `KvCache::RollbackTo`. Works in any ExecutionMode
-  // (single cache, single forward pass — compute-mode numerics are real).
-  PhaseStats VerifyInto(model::KvCache* cache, const tensor::Tensor& tokens);
-
-  // Continuous-batching speculative verify: every session advances by
-  // `rows_per_slot` (= draft window + 1) positions in one iteration. Rows
-  // [i*rows_per_slot, (i+1)*rows_per_slot) of the synthetic input belong to
-  // the session behind `caches[i]`; matmuls run once at m = B*rows_per_slot,
-  // attention stays per-session at m = rows_per_slot. Timing-only, like
-  // BatchedDecodeStep (requires ExecutionMode::kSimulate).
-  PhaseStats BatchedVerifyStep(const std::vector<model::KvCache*>& caches,
-                               int64_t rows_per_slot);
 
   // Advances the host clock to `t` if it lags (idle wait between arrivals).
   void AdvanceHostTo(MicroSeconds t) { host_now_ = std::max(host_now_, t); }
@@ -301,11 +276,6 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   Value SubmitKernel(hal::Device& dev, sim::KernelDesc desc,
                      std::vector<Value*> inputs, tensor::Tensor out);
 
-  // Executes one (possibly partitioned) matmul site: plans via PlanMatmul,
-  // then dispatches to ExecuteMatmulPlanned.
-  Value ExecuteMatmul(MatmulSite site, Value& input,
-                      const tensor::QuantizedTensor& w, Phase phase);
-
   // Executes one matmul site under an already-resolved plan (the compiled
   // schedule replays through this, skipping planning entirely). `parts` is
   // the weight — one tensor, or the column-concatenated members of a fused
@@ -320,26 +290,11 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   Value Add(Value& a, Value& b);
   Value SwiGlu(Value& gate, Value& up);
   Value Rope(Value& x, int64_t pos_offset);
-  Value Attention(Value& q, int layer, int64_t pos_offset);
-
-  // Serving batch mode: attention/cache-append per session slot. Row i of
-  // `q` is slot i's single-token query against its own cache length.
-  Value BatchedAttention(Value& q, int layer);
-
-  // The KV cache backing session slot `slot`: the engine's own cache in
-  // single-session mode, the scheduler-provided one in serving mode.
-  model::KvCache& session_cache(size_t slot);
-  size_t session_count() const {
-    return batch_caches_.empty() ? 1 : batch_caches_.size();
-  }
-  bool serving_batch() const { return batch_caches_.size() > 1; }
-
-  // Runs one full decoder layer (legacy hand-coded path).
-  Value RunLayer(int layer, Value hidden, Phase phase);
-
-  // Runs the whole stack: compiled-schedule replay by default, the legacy
-  // hand-coded loop when `use_compiled_schedule` is off.
-  PhaseStats RunStack(const tensor::Tensor& input, Phase phase);
+  // One attention kernel per batch slot over the slot's rows of `q` and its
+  // (already appended) cache. A one-slot batch computes real numerics with
+  // query positions starting at `pos_offset`.
+  Value Attention(Value& q, int layer, const std::vector<Batch::Slot>& slots,
+                  int64_t pos_offset);
 
   // The cached compiled schedule for (phase, rows, serving); compiles it on
   // first use: build graph -> InferShapes -> FuseSiluMul (+ FuseQkv when
@@ -360,27 +315,11 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   EngineOptions options_;
   model::ExecutionMode mode_;
   std::unique_ptr<model::KvCache> kv_cache_;
-  // Non-owning caches of the sessions in the current serving iteration;
-  // empty outside serving mode (kv_cache_ backs the single session).
-  std::vector<model::KvCache*> batch_caches_;
   MicroSeconds host_now_ = 0;
   MicroSeconds graph_gen_accum_ = 0;  // charged online graph time this phase
   std::unordered_set<int64_t> synced_kernels_;
-  // Decode GPU-dominant pipelining: when true, partitioned decode matmuls
-  // defer the wait on their GPU piece (queue order synchronizes it).
-  bool decode_pipelining_ = true;
-  // Rows each serving slot contributes to the current iteration: 1 for plain
-  // continuous batching, draft window + 1 during a batched speculative
-  // verify (cache appends and attention slice the input per slot).
-  int64_t serving_rows_per_slot_ = 1;
-  // Keep every row's logits through the LM head (speculative verify needs
-  // the argmax at each draft position, not just the last). Selects the
-  // serving-shaped schedule, whose kLastRows step is the identity.
-  bool all_rows_logits_ = false;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
-  // Layer currently executing (for per-op-instance graph keys).
-  int current_layer_ = 0;
 
  private:
   friend class ScheduleExecutor;  // replays schedules via the machinery above
@@ -389,7 +328,6 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,
                            const std::vector<hal::Backend>& changed) const;
-  PhaseStats RunStackLegacy(const tensor::Tensor& input, Phase phase);
   // Numerics of the output-feature range [k_begin, k_end) of the logical
   // matmul against the column-concatenation of `parts`.
   tensor::Tensor MatmulNumeric(

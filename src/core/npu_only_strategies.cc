@@ -72,7 +72,7 @@ MatmulPlan NpuOnlyEngine::PlanMatmul(MatmulSite site, const MatmulShape& shape,
         return plan;
       }
       // Pad up to the nearest standard size (Chunked sees chunk-sized
-      // inputs from its Prefill driver and pads the final partial chunk).
+      // inputs from its Execute override and pads the final partial chunk).
       const int64_t padded = PadToStandard(shape.m, stds);
       if (padded == shape.m &&
           std::find(stds.begin(), stds.end(), shape.m) != stds.end()) {
@@ -100,19 +100,23 @@ MatmulPlan NpuOnlyEngine::PlanMatmul(MatmulSite site, const MatmulShape& shape,
   __builtin_unreachable();
 }
 
-PhaseStats NpuOnlyEngine::Prefill(const Tensor& prompt) {
-  if (policy_ != MisalignPolicy::kChunked) {
-    return EngineBase::Prefill(prompt);
+PhaseStats NpuOnlyEngine::Execute(const Batch& batch) {
+  if (policy_ != MisalignPolicy::kChunked || batch.phase != Phase::kPrefill) {
+    return EngineBase::Execute(batch);
   }
   // Chunked prefill: fixed-size chunks flow through the entire stack one at
   // a time, each filling the KV cache for the next.
+  HCHECK_MSG(batch.slots.size() == 1, "chunked prefill runs one session");
   PhaseStats total;
-  const int64_t m = prompt.shape().rows();
+  const int64_t m = batch.input.shape().rows();
   const int64_t chunk = options_.chunk_size;
   HCHECK(chunk > 0);
   for (int64_t begin = 0; begin < m; begin += chunk) {
     const int64_t end = std::min(m, begin + chunk);
-    PhaseStats piece = EngineBase::Prefill(prompt.SliceRows(begin, end));
+    Batch piece_batch = Batch::One(Phase::kPrefill, batch.slots[0].cache,
+                                   batch.input.SliceRows(begin, end));
+    piece_batch.all_logits = batch.all_logits;
+    PhaseStats piece = EngineBase::Execute(piece_batch);
     total.latency += piece.latency;
     total.graph_gen_time += piece.graph_gen_time;
     total.tokens += piece.tokens;

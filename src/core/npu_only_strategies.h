@@ -37,9 +37,9 @@ class NpuOnlyEngine : public EngineBase {
 
   std::string name() const override;
 
-  // Chunked prefill overrides the driver to push fixed chunks through the
-  // stack; other policies use the standard path.
-  PhaseStats Prefill(const tensor::Tensor& prompt) override;
+  // Chunked prefill pushes a prefill batch through the stack in fixed
+  // chunks; other policies and decode batches use the standard path.
+  PhaseStats Execute(const Batch& batch) override;
 
   MisalignPolicy policy() const { return policy_; }
 

@@ -59,48 +59,49 @@ const Tensor& ScheduleExecutor::Gamma(int64_t ref) const {
 }
 
 ScheduleExecutor::Value ScheduleExecutor::RunAttention(
-    const ScheduleStep& step, Value& q, Value& k, Value& v, int64_t past) {
+    const ScheduleStep& step, const Batch& batch, Value& q, Value& k,
+    Value& v, int64_t past) {
   // The cache append itself is a strided device-side write folded into the
   // projection kernels; attention's kernel dependencies flow through q/k/v.
-  if (e_->serving_batch()) {
-    const int64_t per = e_->serving_rows_per_slot_;
-    for (size_t slot = 0; slot < e_->session_count(); ++slot) {
-      const int64_t r = static_cast<int64_t>(slot) * per;
-      e_->session_cache(slot).AppendLayer(step.layer,
-                                          k.tensor.SliceRows(r, r + per),
-                                          v.tensor.SliceRows(r, r + per));
-    }
+  if (batch.slots.size() == 1) {
+    batch.slots[0].cache->AppendLayer(step.layer, k.tensor, v.tensor);
   } else {
-    e_->session_cache(0).AppendLayer(step.layer, k.tensor, v.tensor);
+    int64_t r = 0;
+    for (const Batch::Slot& slot : batch.slots) {
+      slot.cache->AppendLayer(step.layer,
+                              k.tensor.SliceRows(r, r + slot.rows),
+                              v.tensor.SliceRows(r, r + slot.rows));
+      r += slot.rows;
+    }
   }
   // Attention (on the vector backend) must see k/v results.
   hal::Device& vec_dev = e_->platform_->device(e_->vector_backend());
   e_->EnsureVisible(k, vec_dev);
   e_->EnsureVisible(v, vec_dev);
-  return e_->serving_batch() ? e_->BatchedAttention(q, step.layer)
-                             : e_->Attention(q, step.layer, past);
+  return e_->Attention(q, step.layer, batch.slots, past);
 }
 
 PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
-                                 const Tensor& input) {
+                                 const Batch& batch) {
   EngineBase& e = *e_;
   const MicroSeconds start = e.host_now_;
   e.graph_gen_accum_ = 0;
 
   std::vector<Value> slots(sched.num_slots);
-  slots[sched.input_slot].tensor = input;
-  // KV length at the current layer's start; RoPE/attention offsets replay
-  // against this snapshot (the appends below it advance the cache).
+  slots[sched.input_slot].tensor = batch.input;
+  // Slot 0's KV length at the current layer's start; RoPE/attention offsets
+  // replay against this snapshot (the appends below it advance the cache).
+  // In a multi-slot batch the sessions sit at different positions: slot 0's
+  // offset prices the RoPE kernel (cost is position-independent) while
+  // appends and attention use each slot's own cache.
   int64_t past = 0;
 
   for (const ScheduleStep& step : sched.steps) {
     switch (step.kind) {
       case StepKind::kBeginLayer:
-        e.current_layer_ = step.layer;
-        past = e.session_cache(0).length();
+        past = batch.slots[0].cache->length();
         break;
       case StepKind::kMatmul: {
-        e.current_layer_ = step.layer;
         std::vector<const QuantizedTensor*> parts;
         parts.reserve(step.weight_refs.size());
         for (int64_t ref : step.weight_refs) {
@@ -118,37 +119,15 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
         slots[step.out] = e.Rope(slots[step.a], past);
         break;
       case StepKind::kAttention:
-        slots[step.out] = RunAttention(step, slots[step.a], slots[step.b],
-                                       slots[step.c], past);
+        slots[step.out] = RunAttention(step, batch, slots[step.a],
+                                       slots[step.b], slots[step.c], past);
         break;
-      case StepKind::kSilu: {
-        // Unfused-graph fallback (the engine pipeline always fuses SiluMul).
-        Value& x = slots[step.a];
-        hal::Device& dev = e.platform_->device(e.vector_backend());
-        hal::ElementwiseSpec spec;
-        spec.elems = x.tensor.numel();
-        spec.flops_per_elem = 4.0;
-        spec.bytes_per_elem = 4.0;
-        sim::KernelDesc desc = dev.CostElementwise(spec);
-        desc.label = "silu";
-        Tensor out = tensor::ops::Silu(x.tensor);
-        slots[step.out] = e.SubmitKernel(dev, desc, {&x}, std::move(out));
+      case StepKind::kSilu:
+      case StepKind::kMul:
+        HCHECK_MSG(false,
+                   "unfused SiLU/Mul step: engine schedules are compiled "
+                   "after FuseSiluMul and run the SwiGlu kernel");
         break;
-      }
-      case StepKind::kMul: {
-        Value& a = slots[step.a];
-        Value& b = slots[step.b];
-        hal::Device& dev = e.platform_->device(e.vector_backend());
-        hal::ElementwiseSpec spec;
-        spec.elems = a.tensor.numel();
-        spec.flops_per_elem = 1.0;
-        spec.bytes_per_elem = 6.0;
-        sim::KernelDesc desc = dev.CostElementwise(spec);
-        desc.label = "mul";
-        Tensor out = tensor::ops::Mul(a.tensor, b.tensor);
-        slots[step.out] = e.SubmitKernel(dev, desc, {&a, &b}, std::move(out));
-        break;
-      }
       case StepKind::kAdd:
         slots[step.out] = e.Add(slots[step.a], slots[step.b]);
         break;
@@ -188,7 +167,7 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
   PhaseStats stats;
   stats.latency = e.host_now_ - start;
   stats.graph_gen_time = e.graph_gen_accum_;
-  stats.tokens = static_cast<int>(input.shape().rows());
+  stats.tokens = static_cast<int>(batch.input.shape().rows());
   stats.hidden = std::move(hidden.tensor);
   stats.logits = std::move(logits.tensor);
   return stats;

@@ -1,12 +1,12 @@
 // Replays a `graph::CompiledSchedule` against the simulated Platform.
 //
-// The executor is the mechanism half of the compile-and-replay split: the
-// schedule already names every kernel, partition plan and static NPU graph,
-// so replay is a flat walk over the steps through the engine's own
-// SubmitKernel / EnsureVisible / EnsureHost machinery — the numerics
-// (kCompute) and the timing match the hand-coded loop it replaced. Session
-// state the schedule cannot bake in (KV-cache lengths, per-slot serving
-// caches) is resolved per step at replay time.
+// The executor is the mechanism half of the compile-and-replay split and
+// the only path that runs the decoder stack: the schedule already names
+// every kernel, partition plan and static NPU graph, so replay is a flat
+// walk over the steps through the engine's own SubmitKernel /
+// EnsureVisible / EnsureHost machinery. Batch state the schedule cannot
+// bake in (KV-cache lengths, per-slot caches and rows) is resolved per step
+// at replay time.
 
 #ifndef SRC_CORE_SCHEDULE_EXECUTOR_H_
 #define SRC_CORE_SCHEDULE_EXECUTOR_H_
@@ -21,10 +21,8 @@ class ScheduleExecutor {
     HCHECK(engine != nullptr);
   }
 
-  // Replays `sched` on `input` ([rows, hidden]); returns the phase stats the
-  // legacy loop would have produced.
-  PhaseStats Run(const graph::CompiledSchedule& sched,
-                 const tensor::Tensor& input);
+  // Replays `sched` on `batch` (its input rows and per-slot KV caches).
+  PhaseStats Run(const graph::CompiledSchedule& sched, const Batch& batch);
 
  private:
   using Value = EngineBase::Value;
@@ -34,9 +32,10 @@ class ScheduleExecutor {
   // Resolves an RmsNorm gain reference.
   const tensor::Tensor& Gamma(int64_t ref) const;
 
-  // KV appends + cross-device sync + attention kernel(s) for one layer.
-  Value RunAttention(const graph::ScheduleStep& step, Value& q, Value& k,
-                     Value& v, int64_t past);
+  // Per-slot KV appends + cross-device sync + attention kernel(s) for one
+  // layer.
+  Value RunAttention(const graph::ScheduleStep& step, const Batch& batch,
+                     Value& q, Value& k, Value& v, int64_t past);
 
   EngineBase* e_;
 };

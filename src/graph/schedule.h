@@ -9,8 +9,8 @@
 // decode hot path: replaying a step only submits the kernels the plan
 // already names. The executor (`src/core/schedule_executor.h`) replays the
 // steps against the simulated Platform through the engine's own
-// SubmitKernel/EnsureVisible machinery, which keeps both the numerics
-// (kCompute) and the timing identical to the hand-coded loop it replaces.
+// SubmitKernel/EnsureVisible machinery; it is the engine's only execution
+// path.
 
 #ifndef SRC_GRAPH_SCHEDULE_H_
 #define SRC_GRAPH_SCHEDULE_H_

@@ -16,8 +16,6 @@
 namespace heterollm::serve {
 
 using model::KvCache;
-using tensor::Shape;
-using tensor::Tensor;
 
 Status SchedulerOptions::Validate() const {
   if (max_decode_batch < 1) {
@@ -51,10 +49,6 @@ StatusOr<SchedulerOptions> SchedulerOptions::Validated(
 }
 
 namespace {
-
-Tensor MakePrompt(int prompt_len, int64_t hidden) {
-  return Tensor::Deferred(Shape({prompt_len, hidden}), tensor::DType::kFp16);
-}
 
 int64_t CheckedTotalBlocks(const model::ModelConfig& cfg, Bytes budget,
                            int64_t block_tokens) {
@@ -431,8 +425,12 @@ struct IterationScheduler::Continuous {
     }
     m->prefilled_tokens += r.prompt_len;
     m->prefix_hit_tokens += hit.tokens;
-    engine->PrefillFrom(slot.cache.get(), MakePrompt(r.prompt_len, cfg.hidden),
-                        hit.tokens);
+    // Only the rows past the adopted prefix run (and are priced); RoPE
+    // offsets and attention spans start at the cache length.
+    engine->Execute(core::Batch::Deferred(core::Phase::kPrefill,
+                                          {slot.cache.get()},
+                                          r.prompt_len - hit.tokens,
+                                          cfg.hidden));
     rm.first_token = engine->host_now();
     if (use_prefix && !r.prompt_tokens.empty()) {
       // The committed prompt blocks are now reusable by any later request
@@ -532,11 +530,8 @@ struct IterationScheduler::Continuous {
     if (caches.empty()) {
       return false;
     }
-    if (rows > 1) {
-      engine->BatchedVerifyStep(caches, rows);
-    } else {
-      engine->BatchedDecodeStep(caches);
-    }
+    engine->Execute(
+        core::Batch::Deferred(core::Phase::kDecode, caches, rows, cfg.hidden));
     ++iter;
     ++m->decode_iterations;
     batch_accum += static_cast<double>(ready.size());
@@ -628,8 +623,8 @@ struct IterationScheduler::Continuous {
     if (!slot.cache->TryReserveStep(len)) {
       return false;
     }
-    engine->PrefillChunk(slot.cache.get(), MakePrompt(r.prompt_len, cfg.hidden),
-                         offset, len);
+    engine->Execute(core::Batch::Deferred(
+        core::Phase::kPrefill, {slot.cache.get()}, len, cfg.hidden));
     ++m->prefill_chunks;
     m->chunked_prefill_tokens += len;
     if (slot.cache->length() >= r.prompt_len) {
@@ -930,11 +925,12 @@ void IterationScheduler::RunSerial(const std::vector<Request>& requests,
                "request KV footprint exceeds the budget");
     KvCache cache(cfg, r.prompt_len + std::max(r.decode_len, 1),
                   model::ExecutionMode::kSimulate);
-    engine_->PrefillInto(&cache, MakePrompt(r.prompt_len, cfg.hidden));
+    engine_->Execute(core::Batch::Deferred(core::Phase::kPrefill, {&cache},
+                                           r.prompt_len, cfg.hidden));
     rm.first_token = engine_->host_now();
-    std::vector<KvCache*> one = {&cache};
     for (int t = 0; t < r.decode_len; ++t) {
-      engine_->BatchedDecodeStep(one);
+      engine_->Execute(
+          core::Batch::Deferred(core::Phase::kDecode, {&cache}, 1, cfg.hidden));
       ++rm.decoded_tokens;
       ++m->decode_iterations;
       m->avg_decode_batch += 1.0;

@@ -114,7 +114,8 @@ void SpeculativeDecoder::Prefill(const std::vector<int32_t>& prompt) {
     }
     input = Tensor::ConcatRows(rows);
   }
-  core::PhaseStats ps = engine_->PrefillInto(cache_, input);
+  core::PhaseStats ps = engine_->Execute(
+      core::Batch::One(core::Phase::kPrefill, cache_, input));
 
   if (options_.draft_engine != nullptr) {
     const model::ModelConfig& dcfg = options_.draft_engine->model_config();
@@ -133,7 +134,8 @@ void SpeculativeDecoder::Prefill(const std::vector<int32_t>& prompt) {
       dinput = Tensor::ConcatRows(rows);
     }
     options_.draft_engine->AdvanceHostTo(engine_->host_now());
-    options_.draft_engine->PrefillInto(draft_cache_.get(), dinput);
+    options_.draft_engine->Execute(
+        core::Batch::One(core::Phase::kPrefill, draft_cache_.get(), dinput));
     engine_->AdvanceHostTo(options_.draft_engine->host_now());
   }
 
@@ -153,8 +155,9 @@ void SpeculativeDecoder::CatchUpDraft() {
   const model::ModelConfig& dcfg = draft->model_config();
   while (draft_cache_->length() < cache_->length()) {
     const int32_t tok = tokens_[static_cast<size_t>(draft_cache_->length())];
-    draft->DecodeInto(draft_cache_.get(),
-                      TokenEmbedding(dcfg, tok, mode_, options_.seed));
+    draft->Execute(core::Batch::One(
+        core::Phase::kDecode, draft_cache_.get(),
+        TokenEmbedding(dcfg, tok, mode_, options_.seed)));
   }
 }
 
@@ -179,8 +182,9 @@ std::vector<int32_t> SpeculativeDecoder::DraftWindow(int k) {
   drafts.reserve(static_cast<size_t>(k));
   int32_t prev = pending_;
   for (int i = 0; i < k; ++i) {
-    core::PhaseStats ps = draft->DecodeInto(
-        draft_cache_.get(), TokenEmbedding(dcfg, prev, mode_, options_.seed));
+    core::PhaseStats ps = draft->Execute(core::Batch::One(
+        core::Phase::kDecode, draft_cache_.get(),
+        TokenEmbedding(dcfg, prev, mode_, options_.seed)));
     const int32_t d = ps.logits.has_data()
                           ? Argmax(ps.logits, ps.logits.shape().rows() - 1)
                           : fallback[static_cast<size_t>(i)];
@@ -220,7 +224,9 @@ std::vector<int32_t> SpeculativeDecoder::Generate(int count) {
                                tensor::DType::kFp16)
             : Tensor::ConcatRows(rows);
     const int64_t len_before = cache_->length();
-    core::PhaseStats ps = engine_->VerifyInto(cache_, input);
+    core::Batch verify = core::Batch::One(core::Phase::kDecode, cache_, input);
+    verify.all_logits = true;
+    core::PhaseStats ps = engine_->Execute(verify);
 
     // Accept the longest draft prefix the target model agrees with.
     int accepted = 0;

@@ -7,6 +7,7 @@
 #include "src/core/engine_registry.h"
 #include "src/core/hetero_engine.h"
 #include "src/core/npu_only_strategies.h"
+#include "src/model/kv_cache.h"
 
 namespace heterollm::core {
 namespace {
@@ -161,6 +162,24 @@ TEST(EngineBehaviorTest, ChunkSizeTradesUtilizationAgainstPadding) {
     EXPECT_GT(tok_s, prev) << "chunk=" << chunk;
     prev = tok_s;
   }
+}
+
+// The Chunked engine splits every prefill batch into fixed chunks, also one
+// that runs into a cache the caller owns (a serving session): a 600-row
+// prompt at chunk 256 compiles and replays 256- and 88-row schedules.
+TEST(EngineBehaviorTest, ChunkedEngineChunksPrefillBatches) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  ModelWeights w = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  Platform plat(PlatformOptionsFor("Chunked"));
+  EngineOptions opts;
+  opts.chunk_size = 256;
+  auto engine = CreateEngine("Chunked", &plat, &w, opts);
+  model::KvCache cache(cfg, 1024, ExecutionMode::kSimulate);
+  const PhaseStats stats = engine->Execute(
+      Batch::Deferred(Phase::kPrefill, {&cache}, 600, cfg.hidden));
+  EXPECT_EQ(engine->schedule_compiles(), 2);
+  EXPECT_EQ(stats.tokens, 600);
+  EXPECT_EQ(cache.length(), 600);
 }
 
 TEST(EngineBehaviorTest, SpeculativeWidthImprovesThroughput) {

@@ -1,8 +1,13 @@
-// Compile-and-replay equivalence: for every engine, executing through the
-// graph IR (placement pass + CompiledSchedule replay) must be
-// indistinguishable from the legacy hand-coded loop — bit-exact logits and
-// hidden states in compute mode, identical simulated latencies — and the
-// steady-state decode path must never consult the solver or profiler again.
+// Compiled-schedule timing goldens and replay properties.
+//
+// The engine once had a second, hand-coded layer loop next to the
+// compiled-schedule replay. Before that loop was deleted, both paths were
+// run on the scenarios below and agreed bit for bit; the goldens here are
+// the values they produced: every step's simulated latency and a digest of
+// the whole kernel timeline. Replay must keep reproducing them exactly.
+// Numerics are checked separately, against an independent reference forward
+// pass (engine_numerics_test.cc). The steady-state decode path must also
+// never consult the solver or profiler again.
 
 #include <cstring>
 #include <map>
@@ -28,13 +33,6 @@ using model::ModelConfig;
 using model::ModelWeights;
 using tensor::Shape;
 using tensor::Tensor;
-
-struct EngineRun {
-  std::vector<Tensor> logits;
-  std::vector<Tensor> hidden;
-  std::vector<MicroSeconds> latencies;
-  uint64_t digest = 0;
-};
 
 // Recorded timing of one scenario: every step's latency and a digest of the
 // whole simulated kernel timeline.
@@ -85,24 +83,26 @@ void ExpectGolden(const Golden& golden, const std::vector<MicroSeconds>& lat,
       << what << ": got 0x" << std::hex << digest << "ull";
 }
 
-// Prefill + two decode steps on a fresh engine/platform pair.
-EngineRun RunOnce(const std::string& engine_name, const ModelWeights& weights,
-                  bool use_compiled_schedule, const Tensor& prompt,
-                  const Tensor& tok1, const Tensor& tok2) {
+// Prefill + two decode steps on a fresh engine/platform pair; checks the
+// step latencies and kernel timeline against `golden`.
+void CheckPrefillAndDecodes(const std::string& engine_name,
+                            const Golden& golden) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
+  // Misaligned prompt length exercises padding / pipe / seq-cut plans.
+  Rng rng(123);
+  const Tensor prompt = Tensor::Random(Shape({37, cfg.hidden}), rng, 0.1f);
+  const Tensor tok1 = Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f);
+  const Tensor tok2 = Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f);
+
   Platform platform(PlatformOptionsFor(engine_name));
-  EngineOptions opts;
-  opts.use_compiled_schedule = use_compiled_schedule;
-  auto engine = CreateEngine(engine_name, &platform, &weights, opts);
-  EngineRun run;
-  for (const Tensor* input : {&prompt, &tok1, &tok2}) {
-    PhaseStats stats = input == &prompt ? engine->Prefill(*input)
-                                        : engine->DecodeStep(*input);
-    run.logits.push_back(stats.logits);
-    run.hidden.push_back(stats.hidden);
-    run.latencies.push_back(stats.latency);
-  }
-  run.digest = KernelDigest(platform.soc());
-  return run;
+  auto engine = CreateEngine(engine_name, &platform, &weights);
+  std::vector<MicroSeconds> latencies;
+  latencies.push_back(engine->Prefill(prompt).latency);
+  latencies.push_back(engine->DecodeStep(tok1).latency);
+  latencies.push_back(engine->DecodeStep(tok2).latency);
+  ExpectGolden(golden, latencies, KernelDigest(platform.soc()), engine_name);
 }
 
 const std::map<std::string, Golden>& EngineGoldens() {
@@ -146,34 +146,7 @@ class ScheduleEquivalenceTest : public ::testing::TestWithParam<const char*> {
 
 TEST_P(ScheduleEquivalenceTest, CompiledReplayMatchesLegacyLoopExactly) {
   const std::string engine_name = GetParam();
-  const ModelConfig cfg = ModelConfig::Tiny();
-  const ModelWeights weights =
-      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
-
-  // Misaligned prompt length exercises padding / pipe / seq-cut plans.
-  Rng rng(123);
-  Tensor prompt = Tensor::Random(Shape({37, cfg.hidden}), rng, 0.1f);
-  Tensor tok1 = Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f);
-  Tensor tok2 = Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f);
-
-  EngineRun legacy = RunOnce(engine_name, weights, false, prompt, tok1, tok2);
-  EngineRun compiled = RunOnce(engine_name, weights, true, prompt, tok1, tok2);
-
-  for (size_t i = 0; i < legacy.logits.size(); ++i) {
-    // Bit-exact numerics: both paths run the same kernels on the same
-    // operands in the same order.
-    EXPECT_EQ(Tensor::MaxAbsDiff(legacy.logits[i], compiled.logits[i]), 0.0f)
-        << engine_name << " step " << i;
-    EXPECT_EQ(Tensor::MaxAbsDiff(legacy.hidden[i], compiled.hidden[i]), 0.0f)
-        << engine_name << " step " << i;
-    // Identical timing: same submissions, same syncs, same clock arithmetic.
-    EXPECT_DOUBLE_EQ(legacy.latencies[i], compiled.latencies[i])
-        << engine_name << " step " << i;
-  }
-  ExpectGolden(EngineGoldens().at(engine_name), legacy.latencies,
-               legacy.digest, engine_name + " legacy");
-  ExpectGolden(EngineGoldens().at(engine_name), compiled.latencies,
-               compiled.digest, engine_name + " compiled");
+  CheckPrefillAndDecodes(engine_name, EngineGoldens().at(engine_name));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
@@ -192,25 +165,19 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
                          });
 
 // Runs `scenario` on a fresh simulate-mode Hetero-tensor engine over the
-// tiny model; returns the per-step latencies it collected and the digest of
-// the kernel timeline.
+// tiny model and checks the per-step latencies it collects and the kernel
+// timeline against `golden`.
 template <typename Scenario>
-std::pair<std::vector<MicroSeconds>, uint64_t> RunServingScenario(
-    bool use_compiled_schedule, Scenario scenario) {
+void ExpectServingGolden(const Golden& golden, Scenario scenario) {
   const ModelConfig cfg = ModelConfig::Tiny();
   const ModelWeights weights =
       ModelWeights::Create(cfg, ExecutionMode::kSimulate);
   Platform platform(PlatformOptionsFor("Hetero-tensor"));
-  EngineOptions opts;
-  opts.use_compiled_schedule = use_compiled_schedule;
-  auto engine = CreateEngine("Hetero-tensor", &platform, &weights, opts);
+  auto engine = CreateEngine("Hetero-tensor", &platform, &weights);
   std::vector<MicroSeconds> latencies;
   scenario(*engine, cfg, latencies);
-  return {latencies, KernelDigest(platform.soc())};
-}
-
-Tensor Deferred(const ModelConfig& cfg, int64_t rows) {
-  return Tensor::Deferred(Shape({rows, cfg.hidden}), tensor::DType::kFp16);
+  ExpectGolden(golden, latencies, KernelDigest(platform.soc()),
+               "Hetero-tensor");
 }
 
 // Prefills `n` sessions of 64 tokens each into fresh caches.
@@ -222,19 +189,14 @@ std::vector<KvCache*> PrefillSessions(
   for (int i = 0; i < n; ++i) {
     caches.push_back(
         std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-    latencies.push_back(
-        engine.PrefillInto(caches.back().get(), Deferred(cfg, 64)).latency);
     batch.push_back(caches.back().get());
+    latencies.push_back(
+        engine
+            .Execute(Batch::Deferred(Phase::kPrefill, {batch.back()}, 64,
+                                     cfg.hidden))
+            .latency);
   }
   return batch;
-}
-
-template <typename Scenario>
-void ExpectServingGolden(const Golden& golden, Scenario scenario) {
-  const auto legacy = RunServingScenario(false, scenario);
-  const auto compiled = RunServingScenario(true, scenario);
-  ExpectGolden(golden, legacy.first, legacy.second, "legacy");
-  ExpectGolden(golden, compiled.first, compiled.second, "compiled");
 }
 
 // Continuous-batching decode: three sessions, three batched iterations.
@@ -252,7 +214,9 @@ TEST(ScheduleEquivalenceTest, ServingBatchedDecodeTimingMatchesLegacy) {
     const std::vector<KvCache*> batch =
         PrefillSessions(engine, cfg, 3, caches, latencies);
     for (int step = 0; step < 3; ++step) {
-      latencies.push_back(engine.BatchedDecodeStep(batch).latency);
+      latencies.push_back(
+          engine.Execute(Batch::Deferred(Phase::kDecode, batch, 1, cfg.hidden))
+              .latency);
     }
   });
 }
@@ -270,7 +234,9 @@ TEST(ScheduleEquivalenceTest, ServingBatchedVerifyTimingMatchesLegacy) {
     const std::vector<KvCache*> batch =
         PrefillSessions(engine, cfg, 2, caches, latencies);
     for (int step = 0; step < 2; ++step) {
-      latencies.push_back(engine.BatchedVerifyStep(batch, 4).latency);
+      latencies.push_back(
+          engine.Execute(Batch::Deferred(Phase::kDecode, batch, 4, cfg.hidden))
+              .latency);
     }
   });
 }
@@ -284,10 +250,17 @@ TEST(ScheduleEquivalenceTest, ChunkedPrefillTimingMatchesLegacy) {
   ExpectServingGolden(golden, [](EngineBase& engine, const ModelConfig& cfg,
                                  std::vector<MicroSeconds>& latencies) {
     KvCache cache(cfg, 256, ExecutionMode::kSimulate);
-    const Tensor prompt = Deferred(cfg, 37);
-    latencies.push_back(engine.PrefillChunk(&cache, prompt, 0, 20).latency);
-    latencies.push_back(engine.PrefillChunk(&cache, prompt, 20, 17).latency);
-    latencies.push_back(engine.DecodeInto(&cache, Deferred(cfg, 1)).latency);
+    // The second chunk starts at the cache length the first one committed.
+    for (const int64_t rows : {20, 17}) {
+      latencies.push_back(
+          engine
+              .Execute(Batch::Deferred(Phase::kPrefill, {&cache}, rows,
+                                       cfg.hidden))
+              .latency);
+    }
+    latencies.push_back(
+        engine.Execute(Batch::Deferred(Phase::kDecode, {&cache}, 1, cfg.hidden))
+            .latency);
   });
 }
 
@@ -380,17 +353,17 @@ TEST(ScheduleEquivalenceTest, SolverIdleAfterFirstServingBatchIteration) {
   for (int i = 0; i < 3; ++i) {
     caches.push_back(
         std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-    engine.PrefillInto(
-        caches.back().get(),
-        Tensor::Deferred(Shape({32, cfg.hidden}), tensor::DType::kFp16));
     batch.push_back(caches.back().get());
+    engine.Execute(
+        Batch::Deferred(Phase::kPrefill, {batch.back()}, 32, cfg.hidden));
   }
+  const Batch decode = Batch::Deferred(Phase::kDecode, batch, 1, cfg.hidden);
 
-  engine.BatchedDecodeStep(batch);  // compiles the batch-3 serving schedule
+  engine.Execute(decode);  // compiles the batch-3 serving schedule
   const int decides = engine.solver().decide_calls();
   const int queries = engine.profiler().query_count();
   for (int step = 0; step < 4; ++step) {
-    engine.BatchedDecodeStep(batch);
+    engine.Execute(decode);
   }
   EXPECT_EQ(engine.solver().decide_calls(), decides);
   EXPECT_EQ(engine.profiler().query_count(), queries);

@@ -22,6 +22,8 @@
 namespace heterollm::serve {
 namespace {
 
+using core::Batch;
+using core::Phase;
 using model::ExecutionMode;
 using model::KvCache;
 using model::ModelConfig;
@@ -75,7 +77,8 @@ void CheckChunkedBitExact(int prompt_len, int64_t chunk_tokens) {
   auto ref_engine =
       core::CreateEngine(kEngine, &ref_platform, &weights, eopts);
   KvCache ref_cache(cfg, 256, ExecutionMode::kCompute);
-  core::PhaseStats ref = ref_engine->PrefillInto(&ref_cache, prompt);
+  core::PhaseStats ref =
+      ref_engine->Execute(Batch::One(Phase::kPrefill, &ref_cache, prompt));
 
   core::Platform chunk_platform(core::PlatformOptionsFor(kEngine));
   auto chunk_engine =
@@ -87,7 +90,8 @@ void CheckChunkedBitExact(int prompt_len, int64_t chunk_tokens) {
   for (int64_t offset = 0; offset < prompt_len;) {
     const int64_t len =
         std::min<int64_t>(chunk_tokens, prompt_len - offset);
-    chunked = chunk_engine->PrefillChunk(&chunk_cache, prompt, offset, len);
+    chunked = chunk_engine->Execute(Batch::One(
+        Phase::kPrefill, &chunk_cache, prompt.SliceRows(offset, offset + len)));
     offset += len;
   }
 
@@ -108,8 +112,10 @@ void CheckChunkedBitExact(int prompt_len, int64_t chunk_tokens) {
     ASSERT_EQ(chunk_tok, ref_tok);
     const Tensor emb =
         TokenEmbedding(cfg, ref_tok, ExecutionMode::kCompute, kSeed);
-    const core::PhaseStats r = ref_engine->DecodeInto(&ref_cache, emb);
-    const core::PhaseStats c = chunk_engine->DecodeInto(&chunk_cache, emb);
+    const core::PhaseStats r =
+        ref_engine->Execute(Batch::One(Phase::kDecode, &ref_cache, emb));
+    const core::PhaseStats c =
+        chunk_engine->Execute(Batch::One(Phase::kDecode, &chunk_cache, emb));
     EXPECT_EQ(Tensor::MaxAbsDiff(r.logits, c.logits), 0.0f);
     ref_tok = Argmax(r.logits, 0);
     chunk_tok = Argmax(c.logits, 0);
@@ -140,10 +146,12 @@ TEST(ChunkedPrefillTest, ChunksCommitSequentially) {
   const Tensor prompt = PromptEmbeddings(cfg, 32);
   // Each chunk commits exactly [offset, offset + len) positions; the next
   // chunk starts at the new cache length.
-  const core::PhaseStats a = engine->PrefillChunk(&cache, prompt, 0, 20);
+  const core::PhaseStats a = engine->Execute(
+      Batch::One(Phase::kPrefill, &cache, prompt.SliceRows(0, 20)));
   EXPECT_EQ(cache.length(), 20);
   EXPECT_EQ(a.tokens, 20);
-  const core::PhaseStats b = engine->PrefillChunk(&cache, prompt, 20, 12);
+  const core::PhaseStats b = engine->Execute(
+      Batch::One(Phase::kPrefill, &cache, prompt.SliceRows(20, 32)));
   EXPECT_EQ(cache.length(), 32);
   EXPECT_EQ(b.tokens, 12);
 }

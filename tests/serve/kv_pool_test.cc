@@ -18,6 +18,8 @@
 namespace heterollm::serve {
 namespace {
 
+using core::Batch;
+using core::Phase;
 using model::ExecutionMode;
 using model::KvCache;
 using model::ModelConfig;
@@ -221,17 +223,21 @@ TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
   core::Platform platform(core::PlatformOptionsFor("Hetero-tensor"));
   auto engine = core::CreateEngine("Hetero-tensor", &platform, &weights);
 
+  auto run = [&](Phase phase, KvCache* cache, const Tensor& rows) {
+    return engine->Execute(Batch::One(phase, cache, rows)).logits;
+  };
+
   KvCache contiguous(cfg, 64, ExecutionMode::kCompute);
-  const Tensor lp_c = engine->PrefillInto(&contiguous, prompt).logits;
-  const Tensor l1_c = engine->DecodeInto(&contiguous, tok1).logits;
-  const Tensor l2_c = engine->DecodeInto(&contiguous, tok2).logits;
+  const Tensor lp_c = run(Phase::kPrefill, &contiguous, prompt);
+  const Tensor l1_c = run(Phase::kDecode, &contiguous, tok1);
+  const Tensor l2_c = run(Phase::kDecode, &contiguous, tok2);
 
   KvBlockPool pool(cfg, /*block_tokens=*/16, /*num_blocks=*/8,
                    ExecutionMode::kCompute);
   KvCache pooled = pool.MakeCache(64);
-  const Tensor lp_p = engine->PrefillInto(&pooled, prompt).logits;
-  const Tensor l1_p = engine->DecodeInto(&pooled, tok1).logits;
-  const Tensor l2_p = engine->DecodeInto(&pooled, tok2).logits;
+  const Tensor lp_p = run(Phase::kPrefill, &pooled, prompt);
+  const Tensor l1_p = run(Phase::kDecode, &pooled, tok1);
+  const Tensor l2_p = run(Phase::kDecode, &pooled, tok2);
 
   EXPECT_EQ(Tensor::MaxAbsDiff(lp_c, lp_p), 0.0f);
   EXPECT_EQ(Tensor::MaxAbsDiff(l1_c, l1_p), 0.0f);
@@ -242,7 +248,7 @@ TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
 // Prefix reuse is numerically faithful: prefilling from a cached-prefix
 // offset reproduces the full prefill's logits (the adopted K/V rows stand in
 // exactly for the skipped computation).
-TEST(PooledComputeTest, PrefillFromCachedPrefixMatchesFullPrefill) {
+TEST(PooledComputeTest, PrefillAfterCachedPrefixMatchesFullPrefill) {
   const ModelConfig cfg = ModelConfig::Tiny();
   const ModelWeights weights =
       ModelWeights::Create(cfg, ExecutionMode::kCompute, 31);
@@ -258,15 +264,20 @@ TEST(PooledComputeTest, PrefillFromCachedPrefixMatchesFullPrefill) {
   const std::vector<int32_t> tokens = Iota(32, 0);
 
   KvCache first = pool.MakeCache(40);
-  const Tensor full_logits = engine->PrefillInto(&first, prompt).logits;
+  const Tensor full_logits =
+      engine->Execute(Batch::One(Phase::kPrefill, &first, prompt)).logits;
   prefix.Insert(tokens, first.blocks(), first.length());
 
   PrefixCache::Match hit = prefix.Acquire(tokens);
   ASSERT_EQ(hit.tokens, 16);  // capped below the full prompt
   KvCache second = pool.MakeCache(40);
   second.AdoptPrefix(hit.blocks, hit.tokens);
+  // Only the rows past the adopted prefix run through the stack.
   const Tensor reuse_logits =
-      engine->PrefillFrom(&second, prompt, hit.tokens).logits;
+      engine
+          ->Execute(Batch::One(Phase::kPrefill, &second,
+                               prompt.SliceRows(hit.tokens, 32)))
+          .logits;
 
   // Row 16..31 hidden states depend on rows 0..15 only through the cached
   // K/V, which round-tripped the same fp16 storage — bit-exact.

@@ -90,20 +90,19 @@ TEST(ServingTest, BatchedDecodeAmortizesWeightStreaming) {
   for (int i = 0; i < 4; ++i) {
     caches.push_back(
         std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-    h.engine->PrefillInto(caches.back().get(),
-                          tensor::Tensor::Deferred(
-                              tensor::Shape({64, cfg.hidden}),
-                              tensor::DType::kFp16));
+    h.engine->Execute(core::Batch::Deferred(
+        core::Phase::kPrefill, {caches.back().get()}, 64, cfg.hidden));
     batch.push_back(caches.back().get());
   }
 
-  std::vector<KvCache*> single = {batch[0]};
   const MicroSeconds t0 = h.engine->host_now();
-  h.engine->BatchedDecodeStep(single);
+  h.engine->Execute(
+      core::Batch::Deferred(core::Phase::kDecode, {batch[0]}, 1, cfg.hidden));
   const MicroSeconds single_step = h.engine->host_now() - t0;
 
   const MicroSeconds t1 = h.engine->host_now();
-  h.engine->BatchedDecodeStep(batch);
+  h.engine->Execute(
+      core::Batch::Deferred(core::Phase::kDecode, batch, 1, cfg.hidden));
   const MicroSeconds batch_step = h.engine->host_now() - t1;
 
   EXPECT_GT(batch_step, single_step);         // attention is per-session

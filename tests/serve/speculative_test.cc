@@ -95,15 +95,15 @@ TEST(SpeculativeDecoderTest, ComputeModeMatchesPlainGreedyBitExactly) {
   for (int32_t t : prompt) {
     rows.push_back(TokenEmbedding(cfg, t, ExecutionMode::kCompute, kSeed));
   }
-  core::PhaseStats ps =
-      ref_engine->PrefillInto(&ref_cache, Tensor::ConcatRows(rows));
+  core::PhaseStats ps = ref_engine->Execute(core::Batch::One(
+      core::Phase::kPrefill, &ref_cache, Tensor::ConcatRows(rows)));
   int32_t pending = Argmax(ps.logits, ps.logits.shape().rows() - 1);
   std::vector<int32_t> greedy;
   for (int i = 0; i < kCount; ++i) {
     greedy.push_back(pending);
-    ps = ref_engine->DecodeInto(
-        &ref_cache,
-        TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed));
+    ps = ref_engine->Execute(core::Batch::One(
+        core::Phase::kDecode, &ref_cache,
+        TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed)));
     pending = Argmax(ps.logits, 0);
   }
 
@@ -132,9 +132,10 @@ TEST(SpeculativeDecoderTest, ComputeModeMatchesPlainGreedyBitExactly) {
   EXPECT_EQ(spec_cache.length(), ref_cache.length());
   const Tensor next =
       TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed);
-  const core::PhaseStats ref_next = ref_engine->DecodeInto(&ref_cache, next);
-  const core::PhaseStats spec_next =
-      spec_engine->DecodeInto(&spec_cache, next);
+  const core::PhaseStats ref_next = ref_engine->Execute(
+      core::Batch::One(core::Phase::kDecode, &ref_cache, next));
+  const core::PhaseStats spec_next = spec_engine->Execute(
+      core::Batch::One(core::Phase::kDecode, &spec_cache, next));
   EXPECT_EQ(Tensor::MaxAbsDiff(ref_next.logits, spec_next.logits), 0.0f);
 }
 

@@ -91,8 +91,11 @@ constexpr Config kConfigs[] = {
     {"stage_aware", AdmissionPolicy::kPriority, true},
 };
 
+// Serves the trace once under `config`. When `history_bytes_per_kernel` is
+// set, stores the simulator's retained bytes per submitted kernel there.
 ServingMetrics ServeOnce(const model::ModelWeights& weights,
-                         const Config& config) {
+                         const Config& config,
+                         double* history_bytes_per_kernel = nullptr) {
   const ModelConfig cfg = ModelConfig::InternLM1_8B();
   serve::ReplicaOptions ropts;
   ropts.platform = core::PlatformOptionsFor(kEngine);
@@ -109,7 +112,13 @@ ServingMetrics ServeOnce(const model::ModelWeights& weights,
   auto replica = serve::Replica::Create(ropts, &weights);
   HCHECK(replica.ok());
   serve::TaskGraph graph(MakeTrace());
-  return serve::ServeTasks(**replica, graph);
+  ServingMetrics m = serve::ServeTasks(**replica, graph);
+  if (history_bytes_per_kernel != nullptr) {
+    const sim::SocSimulator& soc = (*replica)->platform().soc();
+    *history_bytes_per_kernel = static_cast<double>(soc.history_bytes()) /
+                                static_cast<double>(soc.kernel_count());
+  }
+  return m;
 }
 
 // Mean TTFT over re-entry stages: every resume, and every generate after
@@ -149,9 +158,10 @@ void PrintAgenticTasksComparison(report::BenchReport& report) {
                    "stage queue p99 (ms)", "re-entry ttft (ms)", "hit rate",
                    "agg tok/s"});
   ServingMetrics runs[3];
+  double history_bytes_per_kernel = 0;
   for (int c = 0; c < 3; ++c) {
     const Config& config = kConfigs[c];
-    runs[c] = ServeOnce(weights, config);
+    runs[c] = ServeOnce(weights, config, &history_bytes_per_kernel);
     const ServingMetrics& m = runs[c];
     HCHECK(m.tasks.size() == static_cast<size_t>(kTasks));
     const serve::TailStats task_tail = m.task_latency_tail();
@@ -173,6 +183,14 @@ void PrintAgenticTasksComparison(report::BenchReport& report) {
                      benchx::LowerIsBetter("ms"));
   }
   benchx::EmitTable(report, "agentic_tasks", table);
+  // Host memory the simulator keeps per kernel (last run, stage_aware): a
+  // deterministic layout figure, gated exactly so the history cannot grow
+  // back to a fat per-kernel struct unnoticed.
+  report.AddMetric("agentic_tasks.sim_history_bytes_per_kernel",
+                   history_bytes_per_kernel,
+                   benchx::LowerIsBetter("B", /*tolerance=*/0));
+  std::printf("simulator history: %.2f bytes per kernel\n",
+              history_bytes_per_kernel);
 
   // The two headline gates: stage-aware must beat FIFO-flat on task
   // latency p99, and prefix reuse must cut re-entry TTFT vs priority-only

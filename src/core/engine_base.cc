@@ -111,6 +111,19 @@ void EngineBase::PregenerateNpuGraphs(const std::vector<int64_t>& seq_lens,
   }
 }
 
+bool EngineBase::MarkSynced(sim::KernelHandle kernel) {
+  HCHECK(kernel >= 0);
+  const size_t bit = static_cast<size_t>(kernel);
+  if (bit >= synced_kernels_.size()) {
+    synced_kernels_.resize(bit + 1);
+  }
+  if (synced_kernels_[bit]) {
+    return false;
+  }
+  synced_kernels_[bit] = true;
+  return true;
+}
+
 void EngineBase::EnsureVisible(Value& v, hal::Device& consumer) {
   std::vector<std::pair<hal::Device*, sim::KernelHandle>> kept;
   std::vector<sim::KernelHandle> to_wait;
@@ -119,7 +132,7 @@ void EngineBase::EnsureVisible(Value& v, hal::Device& consumer) {
       kept.emplace_back(dev, kernel);  // FIFO queue order synchronizes
       continue;
     }
-    if (synced_kernels_.insert(kernel).second) {
+    if (MarkSynced(kernel)) {
       to_wait.push_back(kernel);
     }
   }
@@ -131,7 +144,7 @@ void EngineBase::EnsureVisible(Value& v, hal::Device& consumer) {
 void EngineBase::EnsureHost(Value& v) {
   std::vector<sim::KernelHandle> to_wait;
   for (auto& [dev, kernel] : v.deps) {
-    if (synced_kernels_.insert(kernel).second) {
+    if (MarkSynced(kernel)) {
       to_wait.push_back(kernel);
     } else {
       // Already synced elsewhere; ensure the host clock is past it.

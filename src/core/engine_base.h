@@ -33,7 +33,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -317,7 +316,8 @@ class EngineBase : public graph::PlacementPolicy {
   std::unique_ptr<model::KvCache> kv_cache_;
   MicroSeconds host_now_ = 0;
   MicroSeconds graph_gen_accum_ = 0;  // charged online graph time this phase
-  std::unordered_set<int64_t> synced_kernels_;
+  // Bit k is set once the host has waited for kernel k this session.
+  std::vector<bool> synced_kernels_;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
 
@@ -325,6 +325,8 @@ class EngineBase : public graph::PlacementPolicy {
   friend class ScheduleExecutor;  // replays schedules via the machinery above
 
   void AcquireWorkspace();
+  // Marks `kernel` synced; true if it was not synced before.
+  bool MarkSynced(sim::KernelHandle kernel);
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,
                            const std::vector<hal::Backend>& changed) const;

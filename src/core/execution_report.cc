@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <unordered_map>
 
 #include "src/common/strings.h"
 #include "src/common/table.h"
@@ -40,7 +41,20 @@ ExecutionReport ExecutionReport::Build(const Platform& platform,
   for (int u = 0; u < soc.unit_count(); ++u) {
     units[static_cast<size_t>(u)].unit = soc.unit_spec(u).name;
   }
-  std::map<std::pair<std::string, std::string>, OpRow> ops;
+  // Op rows are keyed by (canonical label, unit name). Equal names share a
+  // column so the rows come out exactly as a per-name key would give them.
+  std::map<std::string, size_t> unit_column;
+  std::vector<size_t> column_of_unit;
+  for (const UnitRow& row : units) {
+    column_of_unit.push_back(
+        unit_column.emplace(row.unit, unit_column.size()).first->second);
+  }
+  const size_t columns = unit_column.size();
+  // The simulator passes every kernel with an equal label the same interned
+  // string, so the label is canonicalized once per distinct address.
+  std::unordered_map<const std::string*, size_t> op_of_label;
+  std::map<std::string, size_t> op_index;  // canonical label -> row block
+  std::vector<OpRow> op_cells;             // [op_index * columns + column]
 
   soc.VisitFinishedKernels([&](const std::string& label, sim::UnitId unit,
                                MicroSeconds start, MicroSeconds end,
@@ -63,10 +77,17 @@ ExecutionReport ExecutionReport::Build(const Platform& platform,
     row.bytes += clipped_bytes;
     row.flops += clipped_flops;
 
-    const std::string canon = CanonicalizeKernelLabel(label);
-    OpRow& op = ops[{canon, row.unit}];
-    op.op = canon;
-    op.unit = row.unit;
+    auto [label_it, new_label] = op_of_label.try_emplace(&label, 0);
+    if (new_label) {
+      const auto [op_it, new_op] =
+          op_index.try_emplace(CanonicalizeKernelLabel(label), op_index.size());
+      if (new_op) {
+        op_cells.resize(op_index.size() * columns);
+      }
+      label_it->second = op_it->second;
+    }
+    OpRow& op = op_cells[label_it->second * columns +
+                         column_of_unit[static_cast<size_t>(unit)]];
     op.total += dur;
     ++op.count;
     op.bytes += clipped_bytes;
@@ -79,8 +100,15 @@ ExecutionReport ExecutionReport::Build(const Platform& platform,
   }
   report.units = std::move(units);
 
-  for (auto& [key, op] : ops) {
-    report.ops.push_back(op);
+  for (const auto& [name, index] : op_index) {
+    for (const auto& [unit, column] : unit_column) {
+      OpRow& op = op_cells[index * columns + column];
+      if (op.count > 0) {
+        op.op = name;
+        op.unit = unit;
+        report.ops.push_back(std::move(op));
+      }
+    }
   }
   std::sort(report.ops.begin(), report.ops.end(),
             [](const OpRow& a, const OpRow& b) { return a.total > b.total; });

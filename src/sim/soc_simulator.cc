@@ -20,6 +20,9 @@ SocSimulator::SocSimulator(const MemoryConfig& mem_config)
 
 UnitId SocSimulator::AddUnit(const UnitSpec& spec) {
   HCHECK(spec.bandwidth_cap_bytes_per_us > 0);
+  HCHECK_MSG(units_.size() < static_cast<size_t>(
+                                 std::numeric_limits<int16_t>::max()),
+             "too many execution units");
   Unit unit;
   unit.spec = spec;
   unit.power_index = power_.AddUnit(spec.name, spec.power);
@@ -36,7 +39,7 @@ const UnitSpec& SocSimulator::unit_spec(UnitId unit) const {
 }
 
 void SocSimulator::EnableThermal(const ThermalConfig& config) {
-  HCHECK_MSG(kernels_.empty(),
+  HCHECK_MSG(log_size_ == 0,
              "EnableThermal must be called before any kernel is submitted");
   if (!config.enabled) {
     thermal_.reset();
@@ -92,56 +95,82 @@ KernelHandle SocSimulator::Submit(UnitId unit, KernelDesc desc,
              "kernel submitted in the resolved past");
   HCHECK(desc.compute_time >= 0 && desc.memory_bytes >= 0 &&
          desc.launch_overhead >= 0);
-  Kernel k;
-  k.unit = unit;
-  k.desc = std::move(desc);
-  k.submit_time = std::max(submit_time, now_);
-  kernels_.push_back(std::move(k));
-  KernelHandle handle = static_cast<KernelHandle>(kernels_.size()) - 1;
+  const KernelHandle handle = log_size_;
+  if ((handle & (kLogChunkSize - 1)) == 0) {
+    log_chunks_.push_back(
+        std::make_unique<LogRecord[]>(static_cast<size_t>(kLogChunkSize)));
+  }
+  ++log_size_;
+  LogRecord& r = record(handle);
+  r.memory_bytes = desc.memory_bytes;
+  r.flops = desc.flops;
+  r.label = InternLabel(std::move(desc.label));
+  r.unit = static_cast<int16_t>(unit);
+
+  QueuedKernel queued;
+  queued.handle = handle;
+  queued.submit_time = std::max(submit_time, now_);
+  queued.compute_time = desc.compute_time;
+  queued.launch_overhead = desc.launch_overhead;
+  queued.power_scale = desc.power_scale;
   // The device executes commands in arrival-time order: a submission with an
   // earlier timestamp (e.g. the control plane enqueueing ahead of a
   // pre-scheduled frame) runs first, stable for equal times.
   auto& queue = units_[static_cast<size_t>(unit)].queue;
   auto pos = queue.end();
-  while (pos != queue.begin() &&
-         kernel(*(pos - 1)).submit_time >
-             kernels_[static_cast<size_t>(handle)].submit_time) {
+  while (pos != queue.begin() && (pos - 1)->submit_time > queued.submit_time) {
     --pos;
   }
-  queue.insert(pos, handle);
+  queue.insert(pos, queued);
   return handle;
 }
 
-SocSimulator::Kernel& SocSimulator::kernel(KernelHandle k) {
-  HCHECK(k >= 0 && k < static_cast<KernelHandle>(kernels_.size()));
-  return kernels_[static_cast<size_t>(k)];
+uint32_t SocSimulator::InternLabel(std::string label) {
+  const auto [it, inserted] = label_ids_.try_emplace(
+      std::move(label), static_cast<uint32_t>(labels_.size()));
+  if (inserted) {
+    HCHECK(labels_.size() < std::numeric_limits<uint32_t>::max());
+    labels_.push_back(&it->first);
+    label_bytes_ += sizeof(std::string) + it->first.size();
+  }
+  return it->second;
 }
 
-const SocSimulator::Kernel& SocSimulator::kernel(KernelHandle k) const {
-  HCHECK(k >= 0 && k < static_cast<KernelHandle>(kernels_.size()));
-  return kernels_[static_cast<size_t>(k)];
+size_t SocSimulator::history_bytes() const {
+  return static_cast<size_t>(log_size_) * kLogRecordBytes + label_bytes_;
+}
+
+SocSimulator::LogRecord& SocSimulator::record(KernelHandle k) {
+  HCHECK(k >= 0 && k < log_size_);
+  return log_chunks_[static_cast<size_t>(k >> kLogChunkShift)]
+                    [static_cast<size_t>(k & (kLogChunkSize - 1))];
+}
+
+const SocSimulator::LogRecord& SocSimulator::record(KernelHandle k) const {
+  HCHECK(k >= 0 && k < log_size_);
+  return log_chunks_[static_cast<size_t>(k >> kLogChunkShift)]
+                    [static_cast<size_t>(k & (kLogChunkSize - 1))];
 }
 
 bool SocSimulator::IsFinished(KernelHandle k) const {
-  return kernel(k).state == KernelState::kFinished;
+  return record(k).state == KernelState::kFinished;
 }
 
 MicroSeconds SocSimulator::CompletionTime(KernelHandle k) const {
-  const Kernel& kn = kernel(k);
-  HCHECK_MSG(kn.state == KernelState::kFinished, "kernel not finished");
-  return kn.end_time;
+  const LogRecord& r = record(k);
+  HCHECK_MSG(r.state == KernelState::kFinished, "kernel not finished");
+  return r.end;
 }
 
 MicroSeconds SocSimulator::StartTime(KernelHandle k) const {
-  const Kernel& kn = kernel(k);
-  HCHECK_MSG(kn.state != KernelState::kPending, "kernel not started");
-  return kn.start_time;
+  const LogRecord& r = record(k);
+  HCHECK_MSG(r.state != KernelState::kPending, "kernel not started");
+  return r.start;
 }
 
 bool SocSimulator::UnitHasWork(UnitId unit) const {
   HCHECK(unit >= 0 && unit < unit_count());
-  const Unit& u = units_[static_cast<size_t>(unit)];
-  return u.running != kInvalidKernel || !u.queue.empty();
+  return units_[static_cast<size_t>(unit)].has_work();
 }
 
 MicroSeconds SocSimulator::UnitBusyTime(UnitId unit) const {
@@ -151,52 +180,55 @@ MicroSeconds SocSimulator::UnitBusyTime(UnitId unit) const {
 
 void SocSimulator::StartEligibleKernels() {
   for (auto& unit : units_) {
-    while (unit.running == kInvalidKernel && !unit.queue.empty()) {
-      KernelHandle head = unit.queue.front();
-      Kernel& k = kernel(head);
-      if (k.submit_time > now_ + kTimeEpsilon) {
+    while (unit.running.handle == kInvalidKernel && !unit.queue.empty()) {
+      const QueuedKernel& queued = unit.queue.front();
+      if (queued.submit_time > now_ + kTimeEpsilon) {
         break;
       }
-      unit.queue.pop_front();
-      unit.running = head;
-      k.state = KernelState::kRunning;
-      k.start_time = now_;
-      MicroSeconds work_begin = now_ + k.desc.launch_overhead;
-      k.compute_end = work_begin + k.desc.compute_time;
-      if (k.desc.memory_bytes > 0) {
+      LogRecord& r = record(queued.handle);
+      r.state = KernelState::kRunning;
+      r.start = now_;
+      RunningKernel& run = unit.running;
+      run.handle = queued.handle;
+      run.power_scale = queued.power_scale;
+      MicroSeconds work_begin = now_ + queued.launch_overhead;
+      run.compute_end = work_begin + queued.compute_time;
+      if (r.memory_bytes > 0) {
         // The stream opens immediately; the launch overhead is folded into
         // the compute deadline (negligible skew at µs scale, avoids a
         // two-phase kernel state machine).
-        k.stream = memory_.OpenStream(unit.spec.bandwidth_cap_bytes_per_us,
-                                      k.desc.memory_bytes);
-        k.stream_done = false;
+        run.stream = memory_.OpenStream(unit.spec.bandwidth_cap_bytes_per_us,
+                                        r.memory_bytes);
+        run.stream_done = false;
       } else {
-        k.stream = -1;
-        k.stream_done = true;
+        run.stream = -1;
+        run.stream_done = true;
       }
+      unit.queue.pop_front();
     }
   }
 }
 
 void SocSimulator::FinishCompletedKernels() {
   for (auto& unit : units_) {
-    if (unit.running == kInvalidKernel) {
+    RunningKernel& run = unit.running;
+    if (run.handle == kInvalidKernel) {
       continue;
     }
-    Kernel& k = kernel(unit.running);
-    if (!k.stream_done && memory_.IsDone(k.stream)) {
-      memory_.CloseStream(k.stream);
-      k.stream = -1;
-      k.stream_done = true;
+    if (!run.stream_done && memory_.IsDone(run.stream)) {
+      memory_.CloseStream(run.stream);
+      run.stream = -1;
+      run.stream_done = true;
     }
-    if (k.stream_done && k.compute_end <= now_ + kTimeEpsilon) {
-      k.state = KernelState::kFinished;
-      k.end_time = now_;
-      MicroSeconds busy = k.end_time - k.start_time;
+    if (run.stream_done && run.compute_end <= now_ + kTimeEpsilon) {
+      LogRecord& r = record(run.handle);
+      r.state = KernelState::kFinished;
+      r.end = now_;
+      MicroSeconds busy = r.end - r.start;
       unit.busy_time += busy;
-      unit.last_completion = k.end_time;
-      power_.AddActive(unit.power_index, busy * k.desc.power_scale);
-      unit.running = kInvalidKernel;
+      unit.last_completion = r.end;
+      power_.AddActive(unit.power_index, busy * run.power_scale);
+      run = RunningKernel{};
     }
   }
 }
@@ -210,8 +242,8 @@ void SocSimulator::IntegrateThermal(MicroSeconds dt) {
   for (const Unit& u : units_) {
     const PowerRating& rating = power_.rating(u.power_index);
     double watts = rating.idle_watts;
-    if (u.running != kInvalidKernel) {
-      watts = rating.active_watts * kernel(u.running).desc.power_scale;
+    if (u.running.handle != kInvalidKernel) {
+      watts = rating.active_watts * u.running.power_scale;
     }
     thermal_->Integrate(u.thermal_index, watts, dt);
   }
@@ -287,7 +319,8 @@ void SocSimulator::BumpUnitEpoch(Unit& unit) {
   unit.epoch = epoch_;
 }
 
-void SocSimulator::RunUntil(const std::function<bool()>& done) {
+template <typename Done>
+void SocSimulator::RunUntil(Done done) {
   // Bound the loop to catch scheduling bugs; real workloads stay far below.
   for (int64_t iterations = 0; iterations < (1 << 26); ++iterations) {
     StartEligibleKernels();
@@ -299,15 +332,15 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
 
     MicroSeconds next = std::numeric_limits<MicroSeconds>::infinity();
     for (const auto& unit : units_) {
-      if (unit.running != kInvalidKernel) {
-        const Kernel& k = kernel(unit.running);
-        MicroSeconds est = k.compute_end;
-        if (!k.stream_done) {
-          est = std::max(est, memory_.EstimateCompletion(k.stream));
+      const RunningKernel& run = unit.running;
+      if (run.handle != kInvalidKernel) {
+        MicroSeconds est = run.compute_end;
+        if (!run.stream_done) {
+          est = std::max(est, memory_.EstimateCompletion(run.stream));
         }
         next = std::min(next, est);
       } else if (!unit.queue.empty()) {
-        next = std::min(next, kernel(unit.queue.front()).submit_time);
+        next = std::min(next, unit.queue.front().submit_time);
       }
     }
     // An idle advance supplies its own target, so empty queues are not a
@@ -332,17 +365,18 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
     UpdateThrottleState();
   }
   for (const auto& unit : units_) {
-    if (unit.running != kInvalidKernel) {
-      const Kernel& k = kernel(unit.running);
+    const RunningKernel& run = unit.running;
+    if (run.handle != kInvalidKernel) {
       std::fprintf(stderr,
                    "stuck unit=%s kernel=%s compute_end=%.9f stream_done=%d "
                    "now=%.9f\n",
-                   unit.spec.name.c_str(), k.desc.label.c_str(),
-                   k.compute_end, k.stream_done ? 1 : 0, now_);
-      if (!k.stream_done) {
+                   unit.spec.name.c_str(),
+                   labels_[record(run.handle).label]->c_str(),
+                   run.compute_end, run.stream_done ? 1 : 0, now_);
+      if (!run.stream_done) {
         std::fprintf(stderr, "  stream est=%.9f rate=%.6f\n",
-                     memory_.EstimateCompletion(k.stream),
-                     memory_.AllocatedRate(k.stream));
+                     memory_.EstimateCompletion(run.stream),
+                     memory_.AllocatedRate(run.stream));
       }
     }
   }
@@ -352,10 +386,11 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
 void SocSimulator::VisitFinishedKernels(
     const std::function<void(const std::string&, UnitId, MicroSeconds,
                              MicroSeconds, Bytes, Flops)>& visitor) const {
-  for (const Kernel& k : kernels_) {
-    if (k.state == KernelState::kFinished) {
-      visitor(k.desc.label, k.unit, k.start_time, k.end_time,
-              k.desc.memory_bytes, k.desc.flops);
+  for (KernelHandle k = 0; k < log_size_; ++k) {
+    const LogRecord& r = record(k);
+    if (r.state == KernelState::kFinished) {
+      visitor(*labels_[r.label], r.unit, r.start, r.end, r.memory_bytes,
+              r.flops);
     }
   }
 }
@@ -368,14 +403,14 @@ MicroSeconds SocSimulator::WaitForKernel(KernelHandle k) {
 MicroSeconds SocSimulator::WaitForUnitIdle(UnitId unit) {
   HCHECK(unit >= 0 && unit < unit_count());
   Unit& u = units_[static_cast<size_t>(unit)];
-  RunUntil([&] { return u.running == kInvalidKernel && u.queue.empty(); });
+  RunUntil([&] { return !u.has_work(); });
   return u.last_completion;
 }
 
 MicroSeconds SocSimulator::DrainAll() {
   RunUntil([&] {
     for (const auto& unit : units_) {
-      if (unit.running != kInvalidKernel || !unit.queue.empty()) {
+      if (unit.has_work()) {
         return false;
       }
     }

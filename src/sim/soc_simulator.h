@@ -23,15 +23,23 @@
 // models sample at submission time, and a monotonically increasing
 // *device-state epoch* lets engines detect that cached plans / compiled
 // schedules were built against stale device performance.
+//
+// Memory: each submitted kernel leaves one fixed-size log record (times,
+// bytes, flops, unit, state, interned label id) for the whole run; the state
+// only a queued or running kernel needs lives in its unit's queue or running
+// slot and is dropped as the kernel moves on. Labels are stored once per
+// distinct string.
 
 #ifndef SRC_SIM_SOC_SIMULATOR_H_
 #define SRC_SIM_SOC_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -123,7 +131,10 @@ class SocSimulator {
 
   // Visits every kernel resolved as finished, in submission order
   // (label, unit, start, end, memory bytes, flops). Used by the trace
-  // exporter and the execution report.
+  // exporter and the execution report. Labels are interned: every kernel
+  // submitted with an equal label reaches the visitor as the same
+  // `const std::string&`, stable for the simulator's lifetime, so callers
+  // can do per-label work once per distinct label, keyed on its address.
   void VisitFinishedKernels(
       const std::function<void(const std::string&, UnitId, MicroSeconds,
                                MicroSeconds, Bytes, Flops)>& visitor) const;
@@ -168,6 +179,15 @@ class SocSimulator {
   // Earliest not-yet-applied condition event time; +inf when none pending.
   MicroSeconds NextConditionEventTime() const;
 
+  // Number of kernels submitted so far (handles are 0 .. kernel_count()-1).
+  int64_t kernel_count() const { return log_size_; }
+
+  // Bytes the simulator keeps for the whole run: one log record per
+  // submitted kernel plus the interned label table (each distinct label's
+  // string object and characters). In-flight state is not counted; it is
+  // bounded by the queued and running kernels.
+  size_t history_bytes() const;
+
   MicroSeconds now() const { return now_; }
   MemorySystem& memory() { return memory_; }
   const MemorySystem& memory() const { return memory_; }
@@ -178,24 +198,52 @@ class SocSimulator {
   const UnitSpec& unit_spec(UnitId unit) const;
 
  private:
-  enum class KernelState { kPending, kRunning, kFinished };
+  enum class KernelState : uint8_t { kPending, kRunning, kFinished };
 
-  struct Kernel {
-    UnitId unit = -1;
-    KernelDesc desc;
-    MicroSeconds submit_time = 0;
+  // What the simulator keeps of a kernel for the whole run: its timeline
+  // entry, with the label interned. Written at Submit, stamped with the
+  // start and end times as the kernel runs.
+  struct LogRecord {
+    MicroSeconds start = 0;  // valid once running
+    MicroSeconds end = 0;    // valid once finished
+    Bytes memory_bytes = 0;
+    Flops flops = 0;
+    uint32_t label = 0;  // index into labels_
+    int16_t unit = -1;
     KernelState state = KernelState::kPending;
-    MicroSeconds start_time = 0;
-    MicroSeconds compute_end = 0;  // valid once running
-    StreamId stream = -1;          // -1 when no memory traffic / closed
+  };
+
+ public:
+  // Size of one kernel's log record; the per-kernel cost of the run history.
+  static constexpr size_t kLogRecordBytes = sizeof(LogRecord);
+
+ private:
+  // The log grows in fixed-size chunks, so appending never moves a record.
+  static constexpr int kLogChunkShift = 12;
+  static constexpr int64_t kLogChunkSize = int64_t{1} << kLogChunkShift;
+
+  // In-flight state of a queued kernel; dropped when it starts.
+  struct QueuedKernel {
+    KernelHandle handle = kInvalidKernel;
+    MicroSeconds submit_time = 0;
+    MicroSeconds compute_time = 0;
+    MicroSeconds launch_overhead = 0;
+    double power_scale = 1.0;
+  };
+
+  // In-flight state of a unit's running kernel; dropped when it finishes.
+  struct RunningKernel {
+    KernelHandle handle = kInvalidKernel;  // kInvalidKernel when idle
+    MicroSeconds compute_end = 0;
+    double power_scale = 1.0;
+    StreamId stream = -1;  // -1 when no memory traffic / closed
     bool stream_done = false;
-    MicroSeconds end_time = 0;  // valid once finished
   };
 
   struct Unit {
     UnitSpec spec;
-    std::deque<KernelHandle> queue;
-    KernelHandle running = kInvalidKernel;
+    std::deque<QueuedKernel> queue;  // sorted by submit time, stable
+    RunningKernel running;
     int power_index = -1;
     MicroSeconds busy_time = 0;
     MicroSeconds last_completion = 0;
@@ -205,17 +253,26 @@ class SocSimulator {
     double thermal_factor = 1.0;
     double forced_cap = 1.0;
     uint64_t epoch = 0;  // global epoch at the unit's last state change
+
+    bool has_work() const {
+      return running.handle != kInvalidKernel || !queue.empty();
+    }
   };
 
-  Kernel& kernel(KernelHandle k);
-  const Kernel& kernel(KernelHandle k) const;
+  // The log record of `k` (HCHECKs that `k` was handed out by Submit).
+  LogRecord& record(KernelHandle k);
+  const LogRecord& record(KernelHandle k) const;
+
+  // Interns `label`, returning its index into labels_.
+  uint32_t InternLabel(std::string label);
 
   // Moves queue heads whose submit time has arrived onto idle units.
   void StartEligibleKernels();
 
   // Runs the event loop until `done()` returns true. HCHECK-fails on
   // deadlock (no event can advance the predicate).
-  void RunUntil(const std::function<bool()>& done);
+  template <typename Done>
+  void RunUntil(Done done);
 
   // Completes any running kernel whose compute and memory phases are both
   // done at the current time.
@@ -239,7 +296,16 @@ class SocSimulator {
   PowerMeter power_;
   MicroSeconds now_ = 0;
   std::vector<Unit> units_;
-  std::vector<Kernel> kernels_;
+
+  // Kernel log: one record per submitted kernel, indexed by handle.
+  std::vector<std::unique_ptr<LogRecord[]>> log_chunks_;
+  int64_t log_size_ = 0;
+  // Interned labels: each distinct label is stored once, as a key of
+  // label_ids_ (node-based, so the strings never move); labels_ maps an id
+  // back to it.
+  std::unordered_map<std::string, uint32_t> label_ids_;
+  std::vector<const std::string*> labels_;
+  size_t label_bytes_ = 0;
 
   std::unique_ptr<ThermalModel> thermal_;
   std::vector<ConditionEvent> trace_;
@@ -247,8 +313,9 @@ class SocSimulator {
   uint64_t epoch_ = 0;
   double power_budget_watts_ = 0;
   double kv_budget_scale_ = 1.0;
-  // Target of an in-progress AdvanceIdleTo (NaN = none): lets RunUntil make
-  // progress with empty queues without tripping the deadlock check.
+  // Target of an in-progress AdvanceIdleTo, meaningful only while
+  // idle_advancing_ is set: lets RunUntil make progress with empty queues
+  // without tripping the deadlock check.
   MicroSeconds idle_target_ = -1;
   bool idle_advancing_ = false;
 };

@@ -121,6 +121,35 @@ TEST_F(ExecutionReportTest, StraddlingKernelProratesBytesAndFlops) {
   EXPECT_DOUBLE_EQ(full_row.flops, 2e9);
 }
 
+// Distinct labels that canonicalize alike share one row per unit; the same
+// label on two units gives two rows.
+TEST_F(ExecutionReportTest, OpRowsGroupByCanonicalLabelAndUnit) {
+  Platform plat;
+  sim::SocSimulator& soc = plat.soc();
+  const sim::UnitId gpu = plat.gpu().unit();
+  const sim::UnitId npu = plat.npu().unit();
+  soc.Submit(gpu, {"attn:L1", 10.0, 0, 0}, 0);
+  soc.Submit(npu, {"attn:L1", 25.0, 0, 0}, 0);
+  soc.Submit(gpu, {"attn:L2", 20.0, 0, 0}, 0);
+  soc.Submit(gpu, {"rmsnorm", 5.0, 0, 0}, 0);
+  soc.Submit(gpu, {"attn:L1", 1.0, 0, 0}, 0);
+  soc.DrainAll();
+
+  ExecutionReport report = ExecutionReport::Build(plat, 0.0, soc.now());
+  ASSERT_EQ(report.ops.size(), 3u);
+  EXPECT_EQ(report.ops[0].op, "attn:L#");
+  EXPECT_EQ(report.ops[0].unit, "gpu");
+  EXPECT_EQ(report.ops[0].count, 3);
+  EXPECT_DOUBLE_EQ(report.ops[0].total, 31.0);
+  EXPECT_EQ(report.ops[1].op, "attn:L#");
+  EXPECT_EQ(report.ops[1].unit, "npu");
+  EXPECT_EQ(report.ops[1].count, 1);
+  EXPECT_DOUBLE_EQ(report.ops[1].total, 25.0);
+  EXPECT_EQ(report.ops[2].op, "rmsnorm");
+  EXPECT_EQ(report.ops[2].unit, "gpu");
+  EXPECT_EQ(report.ops[2].count, 1);
+}
+
 TEST_F(ExecutionReportTest, TopNLimitsOps) {
   Platform plat;
   auto engine = CreateEngine("Hetero-tensor", &plat, &weights_);

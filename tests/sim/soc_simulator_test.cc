@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace heterollm::sim {
 namespace {
 
@@ -152,6 +155,163 @@ TEST(SocSimulatorTest, ManyKernelsStressFifo) {
     last = soc.Submit(gpu, {"k", 1.0, 0, 0}, 0);
   }
   EXPECT_DOUBLE_EQ(soc.WaitForKernel(last), 1000.0);
+}
+
+// The per-kernel history is one small fixed-size record; labels live in a
+// separate interned table.
+static_assert(SocSimulator::kLogRecordBytes <= 40,
+              "kernel log record grew past 40 bytes");
+
+// A kernel that leaves the in-flight state first (submitted later, on
+// another unit) and one that leaves it last both keep answering queries
+// long after they finished.
+TEST(SocSimulatorTest, FinishedKernelsAnswerAfterLeavingFlight) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  UnitId npu = soc.AddUnit(Npu());
+  KernelHandle slow = soc.Submit(gpu, {"slow", 100.0, 0, 0}, 0);
+  KernelHandle fast = soc.Submit(npu, {"fast", 10.0, 0, 0}, 5.0);
+  EXPECT_DOUBLE_EQ(soc.WaitForKernel(fast), 15.0);
+  EXPECT_TRUE(soc.IsFinished(fast));
+  EXPECT_FALSE(soc.IsFinished(slow));
+  EXPECT_DOUBLE_EQ(soc.StartTime(slow), 0.0);
+  EXPECT_DOUBLE_EQ(soc.WaitForKernel(slow), 100.0);
+  // Enough later traffic on both units to cross several log chunks.
+  for (int i = 0; i < 10000; ++i) {
+    soc.Submit(i % 2 == 0 ? gpu : npu, {"later", 1.0, 0, 0}, soc.now());
+  }
+  soc.DrainAll();
+  EXPECT_TRUE(soc.IsFinished(slow));
+  EXPECT_TRUE(soc.IsFinished(fast));
+  EXPECT_DOUBLE_EQ(soc.StartTime(slow), 0.0);
+  EXPECT_DOUBLE_EQ(soc.CompletionTime(slow), 100.0);
+  EXPECT_DOUBLE_EQ(soc.StartTime(fast), 5.0);
+  EXPECT_DOUBLE_EQ(soc.CompletionTime(fast), 15.0);
+}
+
+TEST(SocSimulatorTest, VisitFinishedKernelsInSubmissionOrder) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  UnitId npu = soc.AddUnit(Npu());
+  // Completion order is b, c, a; submission order a, b, c.
+  soc.Submit(gpu, {"a", 30.0, 0, 0}, 0);
+  soc.Submit(npu, {"b", 20.0, 0, 0}, 0);
+  soc.Submit(npu, {"c", 1.0, 0, 0}, /*submit_time=*/0);
+  soc.DrainAll();
+  std::vector<std::string> labels;
+  std::vector<UnitId> units;
+  soc.VisitFinishedKernels([&](const std::string& label, UnitId unit,
+                               MicroSeconds, MicroSeconds, Bytes, Flops) {
+    labels.push_back(label);
+    units.push_back(unit);
+  });
+  EXPECT_EQ(labels, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(units, (std::vector<UnitId>{gpu, npu, npu}));
+}
+
+TEST(SocSimulatorTest, VisitSkipsUnfinishedKernels) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  KernelHandle first = soc.Submit(gpu, {"first", 10.0, 0, 0}, 0);
+  soc.Submit(gpu, {"second", 10.0, 0, 0}, 0);
+  soc.WaitForKernel(first);
+  int visited = 0;
+  soc.VisitFinishedKernels([&](const std::string& label, UnitId,
+                               MicroSeconds start, MicroSeconds end, Bytes,
+                               Flops) {
+    EXPECT_EQ(label, "first");
+    EXPECT_DOUBLE_EQ(start, 0.0);
+    EXPECT_DOUBLE_EQ(end, 10.0);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1);
+}
+
+// Labels past the small-string buffer, bytes and flops come back intact.
+TEST(SocSimulatorTest, LongLabelsRoundTrip) {
+  SocSimulator soc(NoLossConfig());
+  UnitId npu = soc.AddUnit(Npu());
+  const std::string label = "lm_head:npu-seq256";
+  ASSERT_GT(label.size(), 15u);
+  KernelDesc desc{label, 5.0, 420e3, 0};
+  desc.flops = 1.5e9;
+  soc.Submit(npu, desc, 0);
+  soc.DrainAll();
+  int visited = 0;
+  soc.VisitFinishedKernels([&](const std::string& seen, UnitId unit,
+                               MicroSeconds, MicroSeconds, Bytes bytes,
+                               Flops flops) {
+    EXPECT_EQ(seen, label);
+    EXPECT_EQ(unit, npu);
+    EXPECT_DOUBLE_EQ(bytes, 420e3);
+    EXPECT_DOUBLE_EQ(flops, 1.5e9);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1);
+}
+
+// 10k kernels over three labels intern three strings: past the first three
+// submissions the history grows by exactly one record per kernel, and equal
+// labels reach the visitor as the same string object.
+TEST(SocSimulatorTest, LabelsAreInternedOncePerDistinctLabel) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  const std::string names[] = {"attn:L0", "ffn_down:gpu-seq1",
+                               "lm_head:npu-seq256"};
+  EXPECT_EQ(soc.history_bytes(), 0u);
+  for (const std::string& name : names) {
+    soc.Submit(gpu, {name, 1.0, 0, 0}, 0);
+  }
+  const size_t after_three = soc.history_bytes();
+  EXPECT_GT(after_three, 3 * SocSimulator::kLogRecordBytes);
+  constexpr int kKernels = 10000;
+  for (int i = 3; i < kKernels; ++i) {
+    soc.Submit(gpu, {names[i % 3], 1.0, 0, 0}, 0);
+  }
+  EXPECT_EQ(soc.kernel_count(), kKernels);
+  EXPECT_EQ(soc.history_bytes(),
+            after_three + (kKernels - 3) * SocSimulator::kLogRecordBytes);
+  soc.DrainAll();
+  const std::string* seen[3] = {nullptr, nullptr, nullptr};
+  int visited = 0;
+  soc.VisitFinishedKernels([&](const std::string& label, UnitId,
+                               MicroSeconds, MicroSeconds end, Bytes, Flops) {
+    const int i = visited % 3;
+    EXPECT_EQ(label, names[i]);
+    EXPECT_DOUBLE_EQ(end, visited + 1.0);
+    if (seen[i] == nullptr) {
+      seen[i] = &label;
+    }
+    EXPECT_EQ(&label, seen[i]);
+    ++visited;
+  });
+  EXPECT_EQ(visited, kKernels);
+}
+
+TEST(SocSimulatorDeathTest, StartTimeOfPendingKernelAborts) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  soc.Submit(gpu, {"first", 10.0, 0, 0}, 0);
+  KernelHandle queued = soc.Submit(gpu, {"queued", 10.0, 0, 0}, 0);
+  EXPECT_DEATH(soc.StartTime(queued), "not started");
+}
+
+TEST(SocSimulatorDeathTest, CompletionTimeOfRunningKernelAborts) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  UnitId npu = soc.AddUnit(Npu());
+  KernelHandle running = soc.Submit(gpu, {"long", 100.0, 0, 0}, 0);
+  soc.WaitForKernel(soc.Submit(npu, {"short", 1.0, 0, 0}, 0));
+  ASSERT_DOUBLE_EQ(soc.StartTime(running), 0.0);
+  EXPECT_DEATH(soc.CompletionTime(running), "not finished");
+}
+
+TEST(SocSimulatorDeathTest, UnknownHandleAborts) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  KernelHandle k = soc.Submit(gpu, {"k", 1.0, 0, 0}, 0);
+  EXPECT_DEATH(soc.IsFinished(k + 1), "");
+  EXPECT_DEATH(soc.IsFinished(kInvalidKernel), "");
 }
 
 }  // namespace

@@ -212,13 +212,12 @@ Tensor EngineBase::MatmulNumeric(
                              ? full
                              : full.SliceCols(lo - offset, hi - offset));
       } else if (lo == offset && hi == offset + cols) {
-        pieces.push_back(tensor::ops::Matmul(a, w->DequantizedCached()));
+        pieces.push_back(tensor::ops::MatmulQuant(a, *w));
       } else {
-        // Compute only the output-feature slice this backend owns, against
-        // the weight's cached FP32 image (dequantized once per process, not
-        // once per call).
-        pieces.push_back(tensor::ops::MatmulCols(a, w->DequantizedCached(),
-                                                 lo - offset, hi - offset));
+        // Compute only the output-feature slice this backend owns, straight
+        // from the weight's int4 codes.
+        pieces.push_back(tensor::ops::MatmulQuantCols(a, *w, lo - offset,
+                                                      hi - offset));
       }
     }
     offset += cols;

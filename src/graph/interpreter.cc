@@ -21,8 +21,8 @@ GraphInterpreter::GraphInterpreter(const model::ModelWeights* weights,
 }
 
 Tensor GraphInterpreter::WeightTensor(int64_t ref) {
-  for (const auto& [cached_ref, tensor] : dequant_cache_) {
-    if (cached_ref == ref) {
+  for (const auto& [known_ref, tensor] : dense_weights_) {
+    if (known_ref == ref) {
       return tensor;
     }
   }
@@ -30,25 +30,25 @@ Tensor GraphInterpreter::WeightTensor(int64_t ref) {
   Tensor t;
   switch (WeightRefSite(ref)) {
     case WeightSite::kWq:
-      t = weights_->layer(layer).wq.DequantizedCached();
+      t = weights_->layer(layer).wq.Dequantize();
       break;
     case WeightSite::kWk:
-      t = weights_->layer(layer).wk.DequantizedCached();
+      t = weights_->layer(layer).wk.Dequantize();
       break;
     case WeightSite::kWv:
-      t = weights_->layer(layer).wv.DequantizedCached();
+      t = weights_->layer(layer).wv.Dequantize();
       break;
     case WeightSite::kWo:
-      t = weights_->layer(layer).wo.DequantizedCached();
+      t = weights_->layer(layer).wo.Dequantize();
       break;
     case WeightSite::kWGate:
-      t = weights_->layer(layer).w_gate.DequantizedCached();
+      t = weights_->layer(layer).w_gate.Dequantize();
       break;
     case WeightSite::kWUp:
-      t = weights_->layer(layer).w_up.DequantizedCached();
+      t = weights_->layer(layer).w_up.Dequantize();
       break;
     case WeightSite::kWDown:
-      t = weights_->layer(layer).w_down.DequantizedCached();
+      t = weights_->layer(layer).w_down.Dequantize();
       break;
     case WeightSite::kAttnNorm:
       t = weights_->layer(layer).attn_norm;
@@ -60,10 +60,10 @@ Tensor GraphInterpreter::WeightTensor(int64_t ref) {
       t = weights_->final_norm();
       break;
     case WeightSite::kLmHead:
-      t = weights_->lm_head().DequantizedCached();
+      t = weights_->lm_head().Dequantize();
       break;
   }
-  dequant_cache_.emplace_back(ref, t);
+  dense_weights_.emplace_back(ref, t);
   return t;
 }
 

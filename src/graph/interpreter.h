@@ -39,8 +39,11 @@ class GraphInterpreter {
 
   const model::ModelWeights* weights_;
   model::KvCache kv_cache_;
-  // Dequantized parameter cache (refs are stable across runs).
-  std::vector<std::pair<int64_t, tensor::Tensor>> dequant_cache_;
+  // Dense parameter tensors by weight ref, materialized on first use (refs
+  // are stable across runs). Projections are dequantized here, so the
+  // interpreter runs the dense matmul path, independent of the fused
+  // W4A16 kernel the engines use.
+  std::vector<std::pair<int64_t, tensor::Tensor>> dense_weights_;
 };
 
 }  // namespace heterollm::graph

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "src/tensor/kernel_config.h"
@@ -100,23 +101,31 @@ void MatmulRowPanel(const float* a, int64_t a_stride, const float* b,
   }
 }
 
+// Covers rows [row_begin, row_end) with 8-, then 4-, then 1-row panels,
+// calling panel(std::integral_constant<int, RB>(), first_row) for each.
+template <typename Panel>
+void ForEachRowPanel(int64_t row_begin, int64_t row_end, const Panel& panel) {
+  int64_t i = row_begin;
+  for (; i + 8 <= row_end; i += 8) {
+    panel(std::integral_constant<int, 8>(), i);
+  }
+  for (; i + 4 <= row_end; i += 4) {
+    panel(std::integral_constant<int, 4>(), i);
+  }
+  for (; i < row_end; ++i) {
+    panel(std::integral_constant<int, 1>(), i);
+  }
+}
+
 void MatmulRowsTiled(const float* a, int64_t a_stride, const float* b,
                      int64_t b_stride, float* o, int64_t o_stride,
                      int64_t row_begin, int64_t row_end, int64_t n,
                      int64_t kc) {
-  int64_t i = row_begin;
-  for (; i + 8 <= row_end; i += 8) {
-    MatmulRowPanel<8>(a + i * a_stride, a_stride, b, b_stride,
-                      o + i * o_stride, o_stride, n, kc);
-  }
-  for (; i + 4 <= row_end; i += 4) {
-    MatmulRowPanel<4>(a + i * a_stride, a_stride, b, b_stride,
-                      o + i * o_stride, o_stride, n, kc);
-  }
-  for (; i < row_end; ++i) {
-    MatmulRowPanel<1>(a + i * a_stride, a_stride, b, b_stride,
-                      o + i * o_stride, o_stride, n, kc);
-  }
+  ForEachRowPanel(row_begin, row_end, [&](auto rb, int64_t i) {
+    constexpr int kRows = decltype(rb)::value;
+    MatmulRowPanel<kRows>(a + i * a_stride, a_stride, b, b_stride,
+                          o + i * o_stride, o_stride, n, kc);
+  });
 }
 
 // Shared driver: output columns [col_begin, col_end) of a [m, n] x [n, k]
@@ -146,6 +155,167 @@ void MatmulInto(const Tensor& a, const Tensor& b, int64_t col_begin,
   } else {
     KernelParallelFor(kc, /*grain=*/32, [&](int64_t c0, int64_t c1) {
       MatmulRowsTiled(av, n, bv + c0, k, ov + c0, kc, 0, m, n, c1 - c0);
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused W4A16 matmul.
+//
+// Both paths compute O[i][c] = sum_j A[i][j] * (float(code[j][c]) *
+// scale[j / group][c]) with j strictly ascending per output element: the
+// dense kernel's order over exactly the values QuantizedTensor::Dequantize()
+// writes, so the result is bit-exact against Matmul(a, w.Dequantize()) while
+// only the int4 codes and group scales are ever read.
+// ---------------------------------------------------------------------------
+
+// A W4A16 weight's payload from some first output column on: codes
+// [n, stride] and scales [num_groups, stride], both row-major.
+struct QuantView {
+  const int8_t* codes;
+  const float* scales;
+  int64_t stride;
+  int64_t group;
+
+  QuantView Shifted(int64_t c) const {
+    return {codes + c, scales + c, stride, group};
+  }
+};
+
+// Reference scalar path: MatmulRowsScalar with each weight element
+// dequantized where it is read.
+void MatmulQuantRowsScalar(const float* a, int64_t a_stride, QuantView w,
+                           float* o, int64_t o_stride, int64_t m, int64_t n,
+                           int64_t kc) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * a_stride;
+    float* orow = o + i * o_stride;
+    std::fill(orow, orow + kc, 0.0f);
+    for (int64_t j = 0; j < n; ++j) {
+      const float aij = arow[j];
+      const int8_t* crow = w.codes + j * w.stride;
+      const float* srow = w.scales + (j / w.group) * w.stride;
+      for (int64_t c = 0; c < kc; ++c) {
+        orow[c] += aij * (static_cast<float>(crow[c]) * srow[c]);
+      }
+    }
+  }
+}
+
+// Blocked path: an RB x CB output tile as in MatmulMicro, with B-tile rows
+// dequantized into CB-float register rows right before their rank-1
+// updates. The group's scales are loaded once per group, not once per row.
+// Rows are consumed in pairs, so each accumulator is loaded and stored once
+// per two updates; the two updates still land in j order. CB = 64 makes
+// every code-row read one full cache line. kFull tiles have width CB; the
+// ragged last tile of a row panel passes its width as `cw`.
+template <int RB, int CB, bool kFull>
+void MatmulQuantMicro(const float* a, int64_t a_stride, QuantView w,
+                      float* o, int64_t o_stride, int64_t n, int64_t cw) {
+  const int64_t width = kFull ? CB : cw;
+  float acc[RB][CB] = {};
+  float scale[CB] = {};
+  float b0[CB] = {};
+  float b1[CB] = {};
+  for (int64_t j0 = 0; j0 < n; j0 += w.group) {
+    const float* srow = w.scales + (j0 / w.group) * w.stride;
+    for (int64_t c = 0; c < width; ++c) {
+      scale[c] = srow[c];
+    }
+    const int64_t j1 = std::min(n, j0 + w.group);
+    int64_t j = j0;
+    for (; j + 2 <= j1; j += 2) {
+      const int8_t* c0 = w.codes + j * w.stride;
+      const int8_t* c1 = c0 + w.stride;
+      for (int64_t c = 0; c < width; ++c) {
+        b0[c] = static_cast<float>(c0[c]) * scale[c];
+        b1[c] = static_cast<float>(c1[c]) * scale[c];
+      }
+      for (int r = 0; r < RB; ++r) {
+        const float a0 = a[r * a_stride + j];
+        const float a1 = a[r * a_stride + j + 1];
+        for (int64_t c = 0; c < width; ++c) {
+          const float x = acc[r][c] + a0 * b0[c];
+          acc[r][c] = x + a1 * b1[c];
+        }
+      }
+    }
+    if (j < j1) {
+      const int8_t* c0 = w.codes + j * w.stride;
+      for (int64_t c = 0; c < width; ++c) {
+        b0[c] = static_cast<float>(c0[c]) * scale[c];
+      }
+      for (int r = 0; r < RB; ++r) {
+        const float a0 = a[r * a_stride + j];
+        for (int64_t c = 0; c < width; ++c) {
+          acc[r][c] += a0 * b0[c];
+        }
+      }
+    }
+  }
+  for (int r = 0; r < RB; ++r) {
+    for (int64_t c = 0; c < width; ++c) {
+      o[r * o_stride + c] = acc[r][c];
+    }
+  }
+}
+
+constexpr int64_t kQuantColTile = 64;
+
+template <int RB>
+void MatmulQuantRowPanel(const float* a, int64_t a_stride, QuantView w,
+                         float* o, int64_t o_stride, int64_t n, int64_t kc) {
+  int64_t c = 0;
+  for (; c + kQuantColTile <= kc; c += kQuantColTile) {
+    MatmulQuantMicro<RB, kQuantColTile, true>(a, a_stride, w.Shifted(c),
+                                              o + c, o_stride, n,
+                                              kQuantColTile);
+  }
+  if (c < kc) {
+    MatmulQuantMicro<RB, kQuantColTile, false>(a, a_stride, w.Shifted(c),
+                                               o + c, o_stride, n, kc - c);
+  }
+}
+
+void MatmulQuantRowsTiled(const float* a, int64_t a_stride, QuantView w,
+                          float* o, int64_t o_stride, int64_t row_begin,
+                          int64_t row_end, int64_t n, int64_t kc) {
+  ForEachRowPanel(row_begin, row_end, [&](auto rb, int64_t i) {
+    constexpr int kRows = decltype(rb)::value;
+    MatmulQuantRowPanel<kRows>(a + i * a_stride, a_stride, w,
+                               o + i * o_stride, o_stride, n, kc);
+  });
+}
+
+// MatmulInto for a quantized B. Decode-shaped calls split the output
+// columns into whole 64-column tiles, so only the last tile is ragged.
+void MatmulQuantInto(const Tensor& a, const QuantizedTensor& b,
+                     int64_t col_begin, int64_t col_end, Tensor& out) {
+  const int64_t m = a.shape().rows();
+  const int64_t n = a.shape().cols();
+  const int64_t kc = col_end - col_begin;
+  const float* av = a.data().data();
+  const QuantView w = QuantView{b.codes_data(), b.scales_data(),
+                                b.shape().cols(), b.group_size()}
+                          .Shifted(col_begin);
+  float* ov = out.mutable_data().data();
+
+  const ResolvedKernelConfig cfg = ResolveKernelConfig();
+  if (cfg.reference) {
+    MatmulQuantRowsScalar(av, n, w, ov, kc, m, n, kc);
+    return;
+  }
+  if (m >= 2 * cfg.threads || m >= kc) {
+    KernelParallelFor(m, /*grain=*/8, [&](int64_t r0, int64_t r1) {
+      MatmulQuantRowsTiled(av, n, w, ov, kc, r0, r1, n, kc);
+    });
+  } else {
+    const int64_t tiles = (kc + kQuantColTile - 1) / kQuantColTile;
+    KernelParallelFor(tiles, /*grain=*/1, [&](int64_t t0, int64_t t1) {
+      const int64_t c0 = t0 * kQuantColTile;
+      const int64_t c1 = std::min(kc, t1 * kQuantColTile);
+      MatmulQuantRowsTiled(av, n, w.Shifted(c0), ov + c0, kc, 0, m, n,
+                           c1 - c0);
     });
   }
 }
@@ -188,9 +358,25 @@ Tensor MatmulQuant(const Tensor& a, const QuantizedTensor& w) {
   if (!a.has_data() || !w.has_data()) {
     return Tensor::Deferred(std::move(out_shape), a.dtype());
   }
-  // The FP32 image of the weight is cached on the QuantizedTensor, so the
-  // dequantization cost is paid once per weight, not once per call.
-  return Matmul(a, w.DequantizedCached());
+  Tensor out = Tensor::Zeros(std::move(out_shape), a.dtype());
+  MatmulQuantInto(a, w, 0, w.shape().cols(), out);
+  return out;
+}
+
+Tensor MatmulQuantCols(const Tensor& a, const QuantizedTensor& w,
+                       int64_t col_begin, int64_t col_end) {
+  HCHECK(a.shape().rank() == 2 && w.shape().rank() == 2);
+  HCHECK_MSG(a.shape().cols() == w.shape().rows(),
+             "quant matmul shape mismatch");
+  HCHECK(col_begin >= 0 && col_begin <= col_end &&
+         col_end <= w.shape().cols());
+  Shape out_shape({a.shape().rows(), col_end - col_begin});
+  if (!a.has_data() || !w.has_data()) {
+    return Tensor::Deferred(std::move(out_shape), a.dtype());
+  }
+  Tensor out = Tensor::Zeros(std::move(out_shape), a.dtype());
+  MatmulQuantInto(a, w, col_begin, col_end, out);
+  return out;
 }
 
 Tensor MatmulInt8(const Tensor& a, const QuantizedTensor& w) {

@@ -27,10 +27,18 @@ Tensor Matmul(const Tensor& a, const Tensor& b);
 Tensor MatmulCols(const Tensor& a, const Tensor& b, int64_t col_begin,
                   int64_t col_end);
 
-// Matmul against a W4A16 weight: uses the weight's cached FP32 dequantized
-// image (built on first use), accumulates in FP32 (the "A16" activations
-// are modelled as FP32 host math).
+// Fused matmul against a W4A16 weight: reads the int4 codes and group
+// scales directly and dequantizes each weight tile in registers, so no FP32
+// copy of the weight is ever built. FP32 accumulation (the "A16"
+// activations are modelled as FP32 host math). Bit-identical to
+// Matmul(a, w.Dequantize()) at every thread count.
 Tensor MatmulQuant(const Tensor& a, const QuantizedTensor& w);
+
+// MatmulQuant restricted to output columns [col_begin, col_end) of w:
+// bit-identical to MatmulQuant(a, w).SliceCols(col_begin, col_end), for
+// the column-partitioned matmul sites.
+Tensor MatmulQuantCols(const Tensor& a, const QuantizedTensor& w,
+                       int64_t col_begin, int64_t col_end);
 
 // The INT pipeline: activations quantized to per-row INT8, weights kept as
 // INT4 codes, integer accumulation per weight group, FP rescale. This is

@@ -113,13 +113,6 @@ Tensor QuantizedTensor::Dequantize() const {
   return out;
 }
 
-const Tensor& QuantizedTensor::DequantizedCached() const {
-  HCHECK_MSG(has_data(), "dequantize of deferred weight");
-  std::call_once(dequant_cache_->once,
-                 [&] { dequant_cache_->tensor = Dequantize(); });
-  return dequant_cache_->tensor;
-}
-
 QuantizedActivation QuantizedActivation::Quantize(const Tensor& x) {
   HCHECK(x.shape().rank() == 2);
   HCHECK(x.has_data());

@@ -9,8 +9,6 @@
 #define SRC_TENSOR_QUANT_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/common/status.h"
@@ -19,6 +17,11 @@
 
 namespace heterollm::tensor {
 
+// An immutable W4A16 weight: int4 codes plus per-group scales, and nothing
+// else. Copies are deep. No FP32 image of the weight is kept: the compute
+// kernels (ops::MatmulQuant) dequantize tiles in registers as they read
+// them, and Dequantize() builds a fresh dense copy for callers that need
+// one.
 class QuantizedTensor {
  public:
   QuantizedTensor() = default;
@@ -32,12 +35,6 @@ class QuantizedTensor {
 
   // Reconstructs the FP32 weight (HCHECKs on deferred tensors).
   Tensor Dequantize() const;
-
-  // The FP32 image of the weight, dequantized once on first use and cached;
-  // copies of this QuantizedTensor share the cache. Weights are immutable
-  // after Quantize(), so the cache never invalidates. This is what keeps
-  // MatmulQuant from re-dequantizing the full weight on every call.
-  const Tensor& DequantizedCached() const;
 
   // Dequantizes a single element (row r, col c).
   float DequantizedAt(int64_t r, int64_t c) const;
@@ -70,14 +67,6 @@ class QuantizedTensor {
   // `group_size` consecutive rows.
   std::vector<float> scales_;
   int64_t num_groups_ = 0;
-  // Lazily built FP32 image (DequantizedCached); shared across copies so a
-  // weight is dequantized at most once per process.
-  struct DequantCache {
-    std::once_flag once;
-    Tensor tensor;
-  };
-  std::shared_ptr<DequantCache> dequant_cache_ =
-      std::make_shared<DequantCache>();
 };
 
 // Per-row symmetric INT8 activation quantization ("A8") — the datapath the

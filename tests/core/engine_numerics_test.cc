@@ -20,14 +20,22 @@ using model::ModelWeights;
 using tensor::Shape;
 using tensor::Tensor;
 
-// Plain single-threaded reference forward pass (no engine machinery).
+// Plain reference forward pass (no engine machinery). Every projection is
+// dequantized once up front and run through the dense ops::Matmul, so the
+// engines' fused W4A16 kernel is checked against an independent path.
 class Reference {
  public:
   Reference(const ModelWeights& w) : w_(w), cfg_(w.config()) {
     for (int l = 0; l < cfg_.num_layers; ++l) {
+      const model::LayerWeights& lw = w.layer(l);
+      layers_.push_back({lw.wq.Dequantize(), lw.wk.Dequantize(),
+                         lw.wv.Dequantize(), lw.wo.Dequantize(),
+                         lw.w_gate.Dequantize(), lw.w_up.Dequantize(),
+                         lw.w_down.Dequantize()});
       k_cache_.push_back(Tensor::Zeros(Shape({0, cfg_.kv_dim()})));
       v_cache_.push_back(Tensor::Zeros(Shape({0, cfg_.kv_dim()})));
     }
+    lm_head_ = w.lm_head().Dequantize();
   }
 
   // Runs rows through the stack, appending to the cache; returns
@@ -38,10 +46,11 @@ class Reference {
     const int64_t past = k_cache_[0].shape().rows();
     for (int l = 0; l < cfg_.num_layers; ++l) {
       const model::LayerWeights& lw = w_.layer(l);
+      const DenseLayer& dl = layers_[static_cast<size_t>(l)];
       Tensor normed = ops::RmsNorm(hidden, lw.attn_norm);
-      Tensor q = ops::MatmulQuant(normed, lw.wq);
-      Tensor k = ops::MatmulQuant(normed, lw.wk);
-      Tensor v = ops::MatmulQuant(normed, lw.wv);
+      Tensor q = ops::Matmul(normed, dl.wq);
+      Tensor k = ops::Matmul(normed, dl.wk);
+      Tensor v = ops::Matmul(normed, dl.wv);
       ops::ApplyRope(q, past, cfg_.head_dim);
       ops::ApplyRope(k, past, cfg_.head_dim);
       k_cache_[static_cast<size_t>(l)] =
@@ -53,25 +62,31 @@ class Reference {
       Tensor attn = tensor::GqaAttention(q, k_cache_[static_cast<size_t>(l)],
                                          v_cache_[static_cast<size_t>(l)],
                                          params);
-      Tensor o = ops::MatmulQuant(attn, lw.wo);
+      Tensor o = ops::Matmul(attn, dl.wo);
       Tensor h1 = ops::Add(hidden, o);
       Tensor n2 = ops::RmsNorm(h1, lw.ffn_norm);
-      Tensor gate = ops::MatmulQuant(n2, lw.w_gate);
-      Tensor up = ops::MatmulQuant(n2, lw.w_up);
+      Tensor gate = ops::Matmul(n2, dl.w_gate);
+      Tensor up = ops::Matmul(n2, dl.w_up);
       Tensor act = ops::SwiGlu(gate, up);
-      Tensor down = ops::MatmulQuant(act, lw.w_down);
+      Tensor down = ops::Matmul(act, dl.w_down);
       hidden = ops::Add(h1, down);
     }
     Tensor final_norm = ops::RmsNorm(hidden, w_.final_norm());
     const int64_t rows = final_norm.shape().rows();
-    Tensor logits = ops::MatmulQuant(final_norm.SliceRows(rows - 1, rows),
-                                     w_.lm_head());
+    Tensor logits =
+        ops::Matmul(final_norm.SliceRows(rows - 1, rows), lm_head_);
     return {final_norm, logits};
   }
 
  private:
+  struct DenseLayer {
+    Tensor wq, wk, wv, wo, w_gate, w_up, w_down;
+  };
+
   const ModelWeights& w_;
   ModelConfig cfg_;
+  std::vector<DenseLayer> layers_;
+  Tensor lm_head_;
   std::vector<Tensor> k_cache_;
   std::vector<Tensor> v_cache_;
 };

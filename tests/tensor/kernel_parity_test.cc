@@ -6,12 +6,17 @@
 // FP accumulation order, the paths must agree to the last bit — every
 // comparison below is MaxAbsDiff == 0, not a tolerance.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/tensor/attention.h"
 #include "src/tensor/kernel_config.h"
 #include "src/tensor/ops.h"
@@ -228,18 +233,123 @@ TEST(KernelParityTest, ByteSizeIsWholeBytesForOddShapes) {
   EXPECT_DOUBLE_EQ(q3.byte_size(), 0.5 * 64 * 128 + 2.0 * 2 * 128);
 }
 
-// --- cached dequantization --------------------------------------------------
+// --- fused W4A16 matmul vs dequantize-then-matmul --------------------------
 
-TEST(KernelParityTest, DequantizedCachedMatchesDequantizeAndIsStable) {
+// Bit-for-bit equality, with any NaN matching any NaN (the payload of a NaN
+// is not part of the contract; where it appears is).
+void ExpectSameBits(const Tensor& want, const Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    const float x = want.at(i);
+    const float y = got.at(i);
+    const bool same = std::isnan(x) ? std::isnan(y)
+                                    : std::bit_cast<uint32_t>(x) ==
+                                          std::bit_cast<uint32_t>(y);
+    mismatches += same ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
+// Output widths around the fused kernel's 64-column tile and reduction
+// lengths that leave a ragged final quantization group for every size.
+struct QuantCase {
+  int64_t n, k;
+  int group;
+};
+const QuantCase kQuantCases[] = {
+    {37, 19, 8}, {70, 70, 32}, {70, 129, 32}, {96, 64, 32}, {300, 77, 128}};
+
+TEST(KernelParityTest, MatmulQuantMatchesDequantizedMatmulOnRaggedTiles) {
   Rng rng(111);
-  QuantizedTensor q =
-      QuantizedTensor::Quantize(Tensor::Random(Shape({40, 6}), rng, 0.1f), 32);
-  const Tensor& cached = q.DequantizedCached();
-  EXPECT_EQ(Tensor::MaxAbsDiff(cached, q.Dequantize()), 0.0f);
-  // Same backing tensor on every call, and shared across copies.
-  EXPECT_EQ(&q.DequantizedCached(), &cached);
-  QuantizedTensor copy = q;
-  EXPECT_EQ(&copy.DequantizedCached(), &cached);
+  for (const QuantCase& qc : kQuantCases) {
+    const QuantizedTensor w = QuantizedTensor::Quantize(
+        Tensor::Random(Shape({qc.n, qc.k}), rng, 0.1f), qc.group);
+    const Tensor dense = w.Dequantize();
+    for (int64_t m : {1, 3, 4, 8, 9, 13}) {
+      const Tensor a = Tensor::Random(Shape({m, qc.n}), rng);
+      for (int threads : {1, 2, 3, 8}) {
+        KernelThreadScope scope(threads);
+        ExpectSameBits(ops::Matmul(a, dense), ops::MatmulQuant(a, w),
+                       StrFormat("m=%lld n=%lld k=%lld group=%d threads=%d",
+                                 static_cast<long long>(m),
+                                 static_cast<long long>(qc.n),
+                                 static_cast<long long>(qc.k), qc.group,
+                                 threads));
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, MatmulQuantColsMatchesSlicedDequantizedMatmul) {
+  Rng rng(112);
+  const QuantizedTensor w = QuantizedTensor::Quantize(
+      Tensor::Random(Shape({70, 150}), rng, 0.1f), 32);
+  const Tensor dense = w.Dequantize();
+  // Ranges inside one tile, across tile boundaries, ending at the ragged
+  // last tile, the whole width and an empty range.
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {5, 43}, {5, 134}, {64, 150}, {0, 150}, {17, 17}};
+  for (int64_t m : {1, 4, 9}) {
+    const Tensor a = Tensor::Random(Shape({m, 70}), rng);
+    for (const auto& [lo, hi] : ranges) {
+      for (int threads : {1, 2, 3, 8}) {
+        KernelThreadScope scope(threads);
+        const Tensor got = ops::MatmulQuantCols(a, w, lo, hi);
+        const std::string what =
+            StrFormat("m=%lld cols [%lld, %lld) threads=%d",
+                      static_cast<long long>(m), static_cast<long long>(lo),
+                      static_cast<long long>(hi), threads);
+        ExpectSameBits(ops::Matmul(a, dense).SliceCols(lo, hi), got, what);
+        ExpectSameBits(ops::MatmulCols(a, dense, lo, hi), got, what);
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, MatmulQuantPropagatesNanAndInfLikeDenseMatmul) {
+  // Weight row 2 is all zero (every code 0), so an Inf activation in
+  // column 2 meets 0 * Inf = NaN in every output; a NaN activation poisons
+  // its row whatever the weights. An Inf weight in column 5 makes that
+  // column's group scale Inf, so its dequantized weights are NaN and the
+  // all-zero activation row 6 must still yield NaN there (0 * NaN): the
+  // removed `aij == 0` skip regression. Every NaN must come out exactly
+  // where the dense kernel puts it.
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(113);
+  Tensor wf = Tensor::Random(Shape({40, 70}), rng, 0.1f);
+  for (int64_t c = 0; c < 70; ++c) {
+    wf.Set(2, c, 0.0f);
+  }
+  wf.Set(10, 5, inf);
+  const QuantizedTensor w = QuantizedTensor::Quantize(wf, 8);
+  const Tensor dense = w.Dequantize();
+  Tensor a = Tensor::Random(Shape({9, 40}), rng);
+  a.Set(1, 2, inf);
+  a.Set(4, 7, std::numeric_limits<float>::quiet_NaN());
+  for (int64_t j = 0; j < 40; ++j) {
+    a.Set(6, j, 0.0f);
+  }
+  for (int threads : {1, 2, 3, 8}) {
+    KernelThreadScope scope(threads);
+    const Tensor got = ops::MatmulQuant(a, w);
+    ExpectSameBits(ops::Matmul(a, dense), got,
+                   StrFormat("threads=%d", threads));
+    for (int64_t c = 0; c < 70; ++c) {
+      EXPECT_TRUE(std::isnan(got.At(1, c))) << "0*inf swallowed at " << c;
+      EXPECT_TRUE(std::isnan(got.At(4, c))) << "NaN swallowed at " << c;
+      EXPECT_EQ(std::isnan(got.At(6, c)), c == 5) << "zero row at " << c;
+    }
+    // Decode shapes (one row) take the column-parallel branch.
+    for (int64_t r : {1, 6}) {
+      const Tensor row = a.SliceRows(r, r + 1);
+      ExpectSameBits(ops::Matmul(row, dense),
+                     ops::MatmulQuantCols(row, w, 0, 70),
+                     StrFormat("decode row %lld, threads=%d",
+                               static_cast<long long>(r), threads));
+    }
+  }
 }
 
 }  // namespace

@@ -4,9 +4,8 @@
 // A monolithic prefill of a document-sized prompt stalls every decoding
 // session for the whole pass, so the decode inter-token gap (TPOT) tail
 // grows with the longest prompt in flight. kHybridChunked splits prompts
-// into `prefill_chunk_tokens` chunks and interleaves one chunk with each
-// decode round under a shared token budget, bounding the stall to one
-// chunk. The headline gated metric is the TPOT p99 improvement at each
+// into chunks and runs one chunk with each decode round as a single pass
+// of at most `prefill_chunk_tokens` rows, bounding the stall to one pass. The headline gated metric is the TPOT p99 improvement at each
 // load point; the TTFT-mean ratio is gated alongside it to show the win is
 // not bought by starving prompt admission. Pass --report_json=<path> for
 // the machine-readable report.

@@ -96,7 +96,7 @@ void PrintServingComparison(report::BenchReport& report) {
   // iteration policy, not the batching itself, decides the decode tail.
   // Document ingestions (768-1024 token prompts) land between short chat
   // turns; prefill-first stalls the whole decode batch for each document
-  // pass while hybrid-chunked interleaves one budgeted chunk per round.
+  // pass while hybrid-chunked fuses one chunk into each decode round.
   // bench_chunked_prefill gates the full sweep; this section keeps the
   // policy face-off visible next to the serial-vs-continuous table.
   TextTable mixed_table({"policy", "tpot p99 (ms)", "ttft mean (ms)",

@@ -1,6 +1,8 @@
 #include "src/core/engine_base.h"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -27,6 +29,24 @@ Batch Batch::Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
   for (model::KvCache* cache : caches) {
     batch.slots.push_back({cache, rows});
   }
+  batch.logits_rows = caches.size() > 1 ? batch.input.shape().rows() : 1;
+  return batch;
+}
+
+Batch Batch::Hybrid(model::KvCache* chunk, int64_t chunk_rows,
+                    const std::vector<model::KvCache*>& decode,
+                    int64_t decode_rows, int64_t hidden) {
+  const int64_t decode_total =
+      static_cast<int64_t>(decode.size()) * decode_rows;
+  Batch batch;
+  batch.phase = Phase::kPrefill;
+  batch.input = Tensor::Deferred(Shape({chunk_rows + decode_total, hidden}),
+                                 tensor::DType::kFp16);
+  batch.slots.push_back({chunk, chunk_rows});
+  for (model::KvCache* cache : decode) {
+    batch.slots.push_back({cache, decode_rows});
+  }
+  batch.logits_rows = decode_total + 1;  // the chunk's last row + decode rows
   return batch;
 }
 
@@ -518,10 +538,11 @@ PhaseStats EngineBase::Execute(const Batch& batch) {
   }
   HCHECK_MSG(rows == input.shape().rows(),
              "batch slot rows must add up to the input rows");
+  HCHECK_MSG(batch.logits_rows >= 1 && batch.logits_rows <= rows,
+             "batch logits_rows must be in [1, rows]");
   // Sessions in one batch hold different cache contents; one forward pass
   // cannot produce their numerics, so multi-slot batches are timing-only.
-  const bool serving = batch.slots.size() > 1;
-  HCHECK_MSG(!serving || mode_ == ExecutionMode::kSimulate,
+  HCHECK_MSG(batch.slots.size() == 1 || mode_ == ExecutionMode::kSimulate,
              "multi-slot batches are timing-only (ExecutionMode::kSimulate)");
   // Pin the compute-kernel thread count for everything this step runs
   // (matmuls, norms, attention). Numerics are bit-exact across settings;
@@ -535,11 +556,8 @@ PhaseStats EngineBase::Execute(const Batch& batch) {
   for (const Batch::Slot& slot : batch.slots) {
     slot.cache->BeginStep(slot.rows);
   }
-  // Every-row logits are exactly the serving schedule's shape (kLastRows =
-  // identity, LM head planned at full m), so verify and serving batches
-  // share cache entries.
   const graph::CompiledSchedule& sched =
-      ScheduleFor(batch.phase, rows, serving || batch.all_logits);
+      ScheduleFor(batch.phase, rows, batch.logits_rows);
   PhaseStats stats = ScheduleExecutor(this).Run(sched, batch);
   for (const Batch::Slot& slot : batch.slots) {
     slot.cache->CommitStep();
@@ -549,15 +567,24 @@ PhaseStats EngineBase::Execute(const Batch& batch) {
 
 const graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase,
                                                        int64_t rows,
-                                                       bool serving) {
-  const uint64_t key = (static_cast<uint64_t>(rows) << 2) |
-                       (phase == Phase::kDecode ? 2u : 0u) | (serving ? 1u : 0u);
-  auto it = schedule_cache_.find(key);
-  if (it != schedule_cache_.end()) {
+                                                       int64_t logits_rows) {
+  const uint64_t key = (static_cast<uint64_t>(rows) << 1) |
+                       (phase == Phase::kDecode ? 1u : 0u);
+  std::map<int64_t, graph::CompiledSchedule>& bucket = schedule_cache_[key];
+  auto it = bucket.find(logits_rows);
+  if (it != bucket.end()) {
     return it->second;
   }
-  // Compile once per bucket: the pipeline below (including every PlanMatmul
-  // consultation) runs exactly once, then replays from the cache.
+  if (!bucket.empty()) {
+    // The body is compiled already: re-plan only the LM head.
+    StatusOr<graph::CompiledSchedule> sched =
+        graph::WithLogitsRows(bucket.begin()->second, logits_rows, this);
+    HCHECK_MSG(sched.ok(), sched.status().message().c_str());
+    return bucket.emplace(logits_rows, std::move(sched.value())).first->second;
+  }
+  // Compile once per (phase, rows): the pipeline below (including every
+  // PlanMatmul consultation) runs exactly once, then replays from the
+  // cache.
   const auto& cfg = weights_->config();
   graph::Graph g = graph::BuildModelGraph(cfg);
   Status shaped = graph::InferShapes(&g, cfg, rows);
@@ -573,13 +600,13 @@ const graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase,
   shaped = graph::InferShapes(&g, cfg, rows);
   HCHECK_MSG(shaped.ok(), shaped.message().c_str());
   StatusOr<graph::PlacedGraph> placed =
-      graph::PlaceGraph(g, phase, this, serving);
+      graph::PlaceGraph(g, phase, this, logits_rows);
   HCHECK_MSG(placed.ok(), placed.status().message().c_str());
   StatusOr<graph::CompiledSchedule> sched = graph::CompileSchedule(
       placed.value());
   HCHECK_MSG(sched.ok(), sched.status().message().c_str());
   ++schedule_compiles_;
-  return schedule_cache_.emplace(key, std::move(sched.value())).first->second;
+  return bucket.emplace(logits_rows, std::move(sched.value())).first->second;
 }
 
 bool EngineBase::ScheduleUsesBackend(
@@ -593,17 +620,20 @@ bool EngineBase::ScheduleUsesBackend(
   if (hit(vector_backend())) {
     return true;
   }
-  for (const graph::ScheduleStep& step : sched.steps) {
-    if (step.kind != graph::StepKind::kMatmul) {
-      continue;
-    }
-    if (step.plan.kind == PartitionKind::kNone) {
-      if (hit(step.plan.sole_backend)) {
+  for (const std::vector<graph::ScheduleStep>* steps :
+       {sched.body.get(), &sched.tail}) {
+    for (const graph::ScheduleStep& step : *steps) {
+      if (step.kind != graph::StepKind::kMatmul) {
+        continue;
+      }
+      if (step.plan.kind == PartitionKind::kNone) {
+        if (hit(step.plan.sole_backend)) {
+          return true;
+        }
+      } else if (hit(hal::Backend::kGpu) || hit(hal::Backend::kNpu)) {
+        // Every partition kind splits work between GPU and NPU.
         return true;
       }
-    } else if (hit(hal::Backend::kGpu) || hit(hal::Backend::kNpu)) {
-      // Every partition kind splits work between GPU and NPU.
-      return true;
     }
   }
   return false;
@@ -632,12 +662,18 @@ void EngineBase::RefreshDeviceState() {
   if (changed.empty()) {
     return;
   }
-  for (auto it = schedule_cache_.begin(); it != schedule_cache_.end();) {
-    if (ScheduleUsesBackend(it->second, changed)) {
-      it = schedule_cache_.erase(it);
-    } else {
-      ++it;
+  for (auto bucket = schedule_cache_.begin();
+       bucket != schedule_cache_.end();) {
+    std::map<int64_t, graph::CompiledSchedule>& scheds = bucket->second;
+    for (auto it = scheds.begin(); it != scheds.end();) {
+      if (ScheduleUsesBackend(it->second, changed)) {
+        it = scheds.erase(it);
+      } else {
+        ++it;
+      }
     }
+    // A body survives while some schedule still holds it.
+    bucket = scheds.empty() ? schedule_cache_.erase(bucket) : std::next(bucket);
   }
   OnDeviceStateChange(changed);
   ++replan_events_;

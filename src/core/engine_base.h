@@ -7,10 +7,10 @@
 // `kSimulate`; timing is always real (simulated clocks).
 //
 // One entry point runs the stack: `Execute(const Batch&)`. It compiles the
-// decoder graph into a `graph::CompiledSchedule` once per (phase, rows,
-// serving) bucket and replays it (ScheduleExecutor) on the batch's rows and
-// KV caches. `Prefill`/`DecodeStep` are one-slot wrappers over the engine's
-// own session cache.
+// decoder graph into a `graph::CompiledSchedule` once per (phase, rows) —
+// plus a re-planned LM-head tail per logits-row count — and replays it
+// (ScheduleExecutor) on the batch's rows and KV caches. `Prefill`/
+// `DecodeStep` are one-slot wrappers over the engine's own session cache.
 //
 // Concrete engines differ only in *policy*:
 //   * which backend (or partition of backends) runs each matmul site,
@@ -30,6 +30,7 @@
 #define SRC_CORE_ENGINE_BASE_H_
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -148,23 +149,36 @@ struct Batch {
     int64_t rows = 1;
   };
 
-  // A batch of one slot: every row of `input` appends to `cache`.
+  // A batch of one slot: every row of `input` appends to `cache`; logits
+  // for the last row.
   static Batch One(Phase phase, model::KvCache* cache, tensor::Tensor input) {
     const int64_t rows = input.shape().rows();
     return Batch{phase, std::move(input), {{cache, rows}}};
   }
   // A timing-only batch of deferred input rows: each of `caches` appends
   // `rows` rows (the serving layer's synthetic prompts and decode steps).
+  // One cache gets logits for its last row; several get them for every row
+  // (in a decode batch each row is some session's next-token position).
   static Batch Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
                         int64_t rows, int64_t hidden);
+  // A timing-only fused hybrid round: one prefill chunk of `chunk_rows` rows
+  // into `chunk` goes first, then each of `decode` appends `decode_rows`
+  // decode/verify rows. The whole pass runs as Phase::kPrefill, so the
+  // decode rows ride the chunk's weight stream; logits cover the chunk's
+  // last row and every decode row, a contiguous suffix because the chunk
+  // slot comes first.
+  static Batch Hybrid(model::KvCache* chunk, int64_t chunk_rows,
+                      const std::vector<model::KvCache*>& decode,
+                      int64_t decode_rows, int64_t hidden);
 
   Phase phase = Phase::kDecode;
   tensor::Tensor input;  // [sum of slot rows, hidden]
   std::vector<Slot> slots;
-  // Return logits for every row, not just the last: a speculative verify
-  // reads the argmax at each draft position. Batches of more than one slot
-  // always do (in a decode batch each row is its session's last position).
-  bool all_logits = false;
+  // Rows, counted back from the last input row, that the pass returns
+  // logits for (and prices the LM head at). A speculative verify sets it to
+  // every row: it reads the argmax at each draft position. Must be in
+  // [1, input rows].
+  int64_t logits_rows = 1;
 };
 
 // EngineBase doubles as the graph placement policy (graph::PlacementPolicy):
@@ -178,9 +192,9 @@ class EngineBase : public graph::PlacementPolicy {
   virtual std::string name() const = 0;
 
   // Runs `batch` through the whole stack (see Batch) and commits every
-  // slot's appended rows. The returned logits cover the last row, or every
-  // row when the batch asks for all of them. Virtual only so a concrete
-  // engine can split a prefill into the fixed chunks its NPU graphs need.
+  // slot's appended rows. The returned logits cover the batch's last
+  // `logits_rows` rows. Virtual only so a concrete engine can split a
+  // prefill into the fixed chunks its NPU graphs need.
   virtual PhaseStats Execute(const Batch& batch);
 
   // One-slot batches over the engine's own session cache: the prompt
@@ -200,8 +214,9 @@ class EngineBase : public graph::PlacementPolicy {
 
   Platform* platform() const { return platform_; }
   MicroSeconds host_now() const { return host_now_; }
-  // Compiled-schedule compilations and reactive re-planning events so far
-  // (tests assert caches rebuild exactly once per epoch bump).
+  // Decoder-body compilations and reactive re-planning events so far (tests
+  // assert caches rebuild exactly once per epoch bump). A new logits-row
+  // count over a cached body only re-plans the LM head and is not counted.
   int schedule_compiles() const { return schedule_compiles_; }
   int replan_events() const { return replan_events_; }
   const model::ModelConfig& model_config() const {
@@ -295,11 +310,13 @@ class EngineBase : public graph::PlacementPolicy {
   Value Attention(Value& q, int layer, const std::vector<Batch::Slot>& slots,
                   int64_t pos_offset);
 
-  // The cached compiled schedule for (phase, rows, serving); compiles it on
-  // first use: build graph -> InferShapes -> FuseSiluMul (+ FuseQkv when
-  // enabled) -> DCE -> PlaceGraph (this engine's policy) -> CompileSchedule.
+  // The cached compiled schedule for (phase, rows, logits_rows). The first
+  // request for a (phase, rows) compiles the body: build graph ->
+  // InferShapes -> FuseSiluMul (+ FuseQkv when enabled) -> DCE -> PlaceGraph
+  // (this engine's policy) -> CompileSchedule. Other logits-row counts
+  // share that body and only re-plan the LM head (graph::WithLogitsRows).
   const graph::CompiledSchedule& ScheduleFor(Phase phase, int64_t rows,
-                                             bool serving);
+                                             int64_t logits_rows);
 
   // Re-reads the device-state epoch; if it advanced (and reactive
   // re-planning is on), drops cached compiled schedules that touch a changed
@@ -337,8 +354,10 @@ class EngineBase : public graph::PlacementPolicy {
       const std::vector<const tensor::QuantizedTensor*>& parts,
       int64_t k_begin, int64_t k_end) const;
 
-  // Compiled schedules keyed by (phase, rows, serving).
-  std::unordered_map<uint64_t, graph::CompiledSchedule> schedule_cache_;
+  // Compiled schedules keyed by (phase, rows), then by logits rows; the
+  // schedules of one (phase, rows) share their body.
+  std::unordered_map<uint64_t, std::map<int64_t, graph::CompiledSchedule>>
+      schedule_cache_;
   // Device-state epoch the caches were last validated against.
   uint64_t seen_epoch_ = 0;
   int schedule_compiles_ = 0;

@@ -101,21 +101,25 @@ MatmulPlan NpuOnlyEngine::PlanMatmul(MatmulSite site, const MatmulShape& shape,
 }
 
 PhaseStats NpuOnlyEngine::Execute(const Batch& batch) {
-  if (policy_ != MisalignPolicy::kChunked || batch.phase != Phase::kPrefill) {
+  const int64_t m = batch.input.shape().rows();
+  const int64_t chunk = options_.chunk_size;
+  HCHECK(chunk > 0);
+  // A pass that fits one chunk runs as is — also a fused hybrid round,
+  // whose decode rows ride the scheduler's prefill chunk.
+  if (policy_ != MisalignPolicy::kChunked || batch.phase != Phase::kPrefill ||
+      m <= chunk) {
     return EngineBase::Execute(batch);
   }
   // Chunked prefill: fixed-size chunks flow through the entire stack one at
   // a time, each filling the KV cache for the next.
-  HCHECK_MSG(batch.slots.size() == 1, "chunked prefill runs one session");
+  HCHECK_MSG(batch.slots.size() == 1,
+             "a multi-session prefill batch must fit one chunk");
   PhaseStats total;
-  const int64_t m = batch.input.shape().rows();
-  const int64_t chunk = options_.chunk_size;
-  HCHECK(chunk > 0);
   for (int64_t begin = 0; begin < m; begin += chunk) {
     const int64_t end = std::min(m, begin + chunk);
     Batch piece_batch = Batch::One(Phase::kPrefill, batch.slots[0].cache,
                                    batch.input.SliceRows(begin, end));
-    piece_batch.all_logits = batch.all_logits;
+    piece_batch.logits_rows = std::min(batch.logits_rows, end - begin);
     PhaseStats piece = EngineBase::Execute(piece_batch);
     total.latency += piece.latency;
     total.graph_gen_time += piece.graph_gen_time;

@@ -37,8 +37,10 @@ class NpuOnlyEngine : public EngineBase {
 
   std::string name() const override;
 
-  // Chunked prefill pushes a prefill batch through the stack in fixed
-  // chunks; other policies and decode batches use the standard path.
+  // Chunked prefill pushes a one-session prefill batch longer than a chunk
+  // through the stack in fixed chunks; other policies, decode batches and
+  // prefill batches that fit one chunk (a fused hybrid round too) use the
+  // standard path.
   PhaseStats Execute(const Batch& batch) override;
 
   MisalignPolicy policy() const { return policy_; }

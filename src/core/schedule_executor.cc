@@ -96,65 +96,69 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
   // appends and attention use each slot's own cache.
   int64_t past = 0;
 
-  for (const ScheduleStep& step : sched.steps) {
-    switch (step.kind) {
-      case StepKind::kBeginLayer:
-        past = batch.slots[0].cache->length();
-        break;
-      case StepKind::kMatmul: {
-        std::vector<const QuantizedTensor*> parts;
-        parts.reserve(step.weight_refs.size());
-        for (int64_t ref : step.weight_refs) {
-          parts.push_back(&Weight(ref));
+  // The decoder body, then the logits tail.
+  for (const std::vector<ScheduleStep>* steps :
+       {sched.body.get(), &sched.tail}) {
+    for (const ScheduleStep& step : *steps) {
+      switch (step.kind) {
+        case StepKind::kBeginLayer:
+          past = batch.slots[0].cache->length();
+          break;
+        case StepKind::kMatmul: {
+          std::vector<const QuantizedTensor*> parts;
+          parts.reserve(step.weight_refs.size());
+          for (int64_t ref : step.weight_refs) {
+            parts.push_back(&Weight(ref));
+          }
+          slots[step.out] = e.ExecuteMatmulPlanned(
+              step.site, step.op_id, step.plan, slots[step.a], parts,
+              sched.phase);
+          break;
         }
-        slots[step.out] = e.ExecuteMatmulPlanned(
-            step.site, step.op_id, step.plan, slots[step.a], parts,
-            sched.phase);
-        break;
-      }
-      case StepKind::kRmsNorm:
-        slots[step.out] = e.RmsNorm(slots[step.a], Gamma(step.gamma_ref));
-        break;
-      case StepKind::kRope:
-        slots[step.out] = e.Rope(slots[step.a], past);
-        break;
-      case StepKind::kAttention:
-        slots[step.out] = RunAttention(step, batch, slots[step.a],
-                                       slots[step.b], slots[step.c], past);
-        break;
-      case StepKind::kSilu:
-      case StepKind::kMul:
-        HCHECK_MSG(false,
-                   "unfused SiLU/Mul step: engine schedules are compiled "
-                   "after FuseSiluMul and run the SwiGlu kernel");
-        break;
-      case StepKind::kAdd:
-        slots[step.out] = e.Add(slots[step.a], slots[step.b]);
-        break;
-      case StepKind::kSwiGlu:
-        slots[step.out] = e.SwiGlu(slots[step.a], slots[step.b]);
-        break;
-      case StepKind::kSliceCols: {
-        // Zero-cost column view of a fused result; disjoint ranges of one
-        // unified buffer. Each view carries the producer's deps (the sync
-        // bookkeeping dedups the shared kernels).
-        Value& src = slots[step.a];
-        Value view;
-        view.tensor = src.tensor.SliceCols(step.begin, step.end);
-        view.deps = src.deps;
-        slots[step.out] = std::move(view);
-        break;
-      }
-      case StepKind::kLastRows: {
-        Value& src = slots[step.a];
-        Value view;
-        view.tensor =
-            step.begin == 0 && step.end == src.tensor.shape().rows()
-                ? src.tensor
-                : src.tensor.SliceRows(step.begin, step.end);
-        view.deps = src.deps;
-        slots[step.out] = std::move(view);
-        break;
+        case StepKind::kRmsNorm:
+          slots[step.out] = e.RmsNorm(slots[step.a], Gamma(step.gamma_ref));
+          break;
+        case StepKind::kRope:
+          slots[step.out] = e.Rope(slots[step.a], past);
+          break;
+        case StepKind::kAttention:
+          slots[step.out] = RunAttention(step, batch, slots[step.a],
+                                         slots[step.b], slots[step.c], past);
+          break;
+        case StepKind::kSilu:
+        case StepKind::kMul:
+          HCHECK_MSG(false,
+                     "unfused SiLU/Mul step: engine schedules are compiled "
+                     "after FuseSiluMul and run the SwiGlu kernel");
+          break;
+        case StepKind::kAdd:
+          slots[step.out] = e.Add(slots[step.a], slots[step.b]);
+          break;
+        case StepKind::kSwiGlu:
+          slots[step.out] = e.SwiGlu(slots[step.a], slots[step.b]);
+          break;
+        case StepKind::kSliceCols: {
+          // Zero-cost column view of a fused result; disjoint ranges of one
+          // unified buffer. Each view carries the producer's deps (the sync
+          // bookkeeping dedups the shared kernels).
+          Value& src = slots[step.a];
+          Value view;
+          view.tensor = src.tensor.SliceCols(step.begin, step.end);
+          view.deps = src.deps;
+          slots[step.out] = std::move(view);
+          break;
+        }
+        case StepKind::kLastRows: {
+          Value& src = slots[step.a];
+          Value view;
+          view.tensor =
+              step.begin == 0 && step.end == src.tensor.shape().rows()
+                  ? src.tensor
+                  : src.tensor.SliceRows(step.begin, step.end);
+          view.deps = src.deps;
+          slots[step.out] = std::move(view);
+          break;
+        }
       }
     }
   }

@@ -97,14 +97,15 @@ Status ResolveMatmul(const Graph& g, const Node& n, NodePlacement* p) {
 }  // namespace
 
 StatusOr<PlacedGraph> PlaceGraph(const Graph& g, Phase phase,
-                                 PlacementPolicy* policy, bool serving) {
+                                 PlacementPolicy* policy,
+                                 int64_t logits_rows) {
   HCHECK(policy != nullptr);
   HRETURN_IF_ERROR(g.Validate());
 
   PlacedGraph placed;
   placed.graph = g;
   placed.phase = phase;
-  placed.serving = serving;
+  placed.logits_rows = logits_rows;
   placed.placements.resize(g.node_count());
 
   for (NodeId id : g.LiveNodesInOrder()) {
@@ -127,8 +128,14 @@ StatusOr<PlacedGraph> PlaceGraph(const Graph& g, Phase phase,
     p.shape.m = act.shape.rows();
     p.shape.n = w.shape.rows();
     p.shape.k = w.shape.cols();
-    if (p.site == MatmulSite::kLmHead && !serving) {
-      p.shape.m = 1;  // only the last position's logits are computed
+    if (p.site == MatmulSite::kLmHead) {
+      if (logits_rows < 1 || logits_rows > p.shape.m) {
+        return InvalidArgumentError(StrFormat(
+            "logits_rows %lld outside [1, %lld]",
+            static_cast<long long>(logits_rows),
+            static_cast<long long>(p.shape.m)));
+      }
+      p.shape.m = logits_rows;  // logits only for the rows that need them
     }
     p.op_id = core::GraphOpId(p.layer, p.site);
     p.plan = policy->PlanMatmul(p.site, p.shape, phase);

@@ -57,10 +57,12 @@ struct NodePlacement {
 struct PlacedGraph {
   Graph graph;  // the placed graph (a copy; shapes inferred)
   core::Phase phase = core::Phase::kPrefill;
-  // Serving batch: the LM head runs over every row (each row is a session's
-  // last position); single-session engines slice the last row first, so the
-  // head is placed at m = 1.
-  bool serving = false;
+  // Rows, counted back from the last input row, the LM head runs over: 1
+  // when only the last position's logits are needed, every row in a decode
+  // or verify batch (each row is some session's next-token position), and
+  // the prefill chunk's last row plus every decode row in a fused hybrid
+  // round. The head is placed at m = logits_rows.
+  int64_t logits_rows = 1;
   std::vector<NodePlacement> placements;  // indexed by NodeId
   int matmul_count = 0;
   int fused_qkv_count = 0;
@@ -68,10 +70,11 @@ struct PlacedGraph {
 
 // Annotates each live node of `g` (shape-inferred, post-passes) with its
 // placement under `policy`. Fails when a matmul's weight operand is neither
-// a weight reference nor a fused Wq/Wk/Wv concat, or shapes are missing.
+// a weight reference nor a fused Wq/Wk/Wv concat, shapes are missing, or
+// `logits_rows` is not in [1, rows].
 StatusOr<PlacedGraph> PlaceGraph(const Graph& g, core::Phase phase,
                                  PlacementPolicy* policy,
-                                 bool serving = false);
+                                 int64_t logits_rows = 1);
 
 // Graphviz rendering of the placed graph: one box per live node labelled
 // with its backend assignment or partition plan (docs: Fig. 1 end-to-end).

@@ -41,11 +41,12 @@ const char* StepKindName(StepKind kind) {
 
 std::string CompiledSchedule::Summary() const {
   return StrFormat(
-      "%s rows=%lld%s: steps=%zu slots=%d matmuls=%d (fused_qkv=%d) "
-      "merges=%d npu_graphs=%d",
+      "%s rows=%lld logits=%lld: steps=%zu slots=%d matmuls=%d "
+      "(fused_qkv=%d) merges=%d npu_graphs=%d",
       phase == core::Phase::kDecode ? "decode" : "prefill",
-      static_cast<long long>(rows), serving ? " serving" : "", steps.size(),
-      num_slots, matmul_steps, fused_qkv_steps, merge_steps, npu_graph_refs);
+      static_cast<long long>(rows), static_cast<long long>(logits_rows),
+      (body ? body->size() : 0) + tail.size(), num_slots, matmul_steps,
+      fused_qkv_steps, merge_steps, npu_graph_refs);
 }
 
 namespace {
@@ -80,6 +81,19 @@ std::vector<hal::NpuGraphKey> NpuGraphRefs(const MatmulPlan& plan,
   return keys;
 }
 
+// Adds (sign = +1) or removes (sign = -1) one matmul step's share of the
+// schedule's structure counts.
+void CountMatmul(const ScheduleStep& step, int sign, CompiledSchedule* sched) {
+  sched->matmul_steps += sign;
+  if (step.site == MatmulSite::kQkv) {
+    sched->fused_qkv_steps += sign;
+  }
+  if (step.plan.kind != PartitionKind::kNone) {
+    sched->merge_steps += sign;
+  }
+  sched->npu_graph_refs += sign * static_cast<int>(step.npu_graphs.size());
+}
+
 bool IsWeightConcat(const Graph& g, const Node& n) {
   if (n.type != OpType::kConcatCols) {
     return false;
@@ -100,7 +114,8 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
 
   CompiledSchedule sched;
   sched.phase = placed.phase;
-  sched.serving = placed.serving;
+  sched.logits_rows = placed.logits_rows;
+  std::vector<ScheduleStep> body;
 
   std::unordered_map<NodeId, int> slot_of;
   auto new_slot = [&]() { return sched.num_slots++; };
@@ -113,6 +128,7 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
   for (NodeId id : g.LiveNodesInOrder()) {
     const Node& n = g.node(id);
     ScheduleStep step;
+    std::vector<ScheduleStep>* dst = &body;
     switch (n.type) {
       case OpType::kInput:
         if (n.shape.rank() != 2) {
@@ -145,7 +161,7 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
           ScheduleStep begin;
           begin.kind = StepKind::kBeginLayer;
           begin.layer = WeightRefLayer(gamma.attrs.weight_ref);
-          sched.steps.push_back(begin);
+          body.push_back(begin);
         }
         step.kind = StepKind::kRmsNorm;
         step.a = slot(n.inputs[0]);
@@ -161,14 +177,15 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
         step.a = slot(n.inputs[0]);
         if (p.site == MatmulSite::kLmHead) {
           // The engine computes logits for the positions that need them:
-          // the last row in single-session mode, every row when serving.
+          // the last logits_rows rows (the LM head is placed at that m).
+          dst = &sched.tail;
           ScheduleStep last;
           last.kind = StepKind::kLastRows;
           last.a = step.a;
-          last.begin = placed.serving ? 0 : sched.rows - 1;
+          last.begin = sched.rows - sched.logits_rows;
           last.end = sched.rows;
           last.out = new_slot();
-          sched.steps.push_back(last);
+          sched.tail.push_back(last);
           step.a = last.out;
         }
         step.kind = StepKind::kMatmul;
@@ -179,14 +196,7 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
         step.plan = p.plan;
         step.weight_refs = p.weight_refs;
         step.npu_graphs = NpuGraphRefs(step.plan, step.shape, step.op_id);
-        ++sched.matmul_steps;
-        if (p.site == MatmulSite::kQkv) {
-          ++sched.fused_qkv_steps;
-        }
-        if (step.plan.kind != PartitionKind::kNone) {
-          ++sched.merge_steps;
-        }
-        sched.npu_graph_refs += static_cast<int>(step.npu_graphs.size());
+        CountMatmul(step, +1, &sched);
         break;
       }
       case OpType::kRope:
@@ -220,14 +230,24 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
         step.end = n.attrs.end;
         break;
     }
+    if (dst == &body && !sched.tail.empty()) {
+      return InvalidArgumentError(StrFormat(
+          "%s follows the LM head: the head must be the last compute op",
+          n.name.c_str()));
+    }
     step.out = new_slot();
     slot_of[id] = step.out;
-    sched.steps.push_back(step);
+    dst->push_back(step);
   }
 
   if (sched.input_slot < 0) {
     return InvalidArgumentError("graph has no input node");
   }
+  if (sched.tail.empty()) {
+    return InvalidArgumentError("graph has no LM head");
+  }
+  sched.body =
+      std::make_shared<const std::vector<ScheduleStep>>(std::move(body));
   // Builder convention: outputs are [final hidden state, logits].
   if (g.outputs().empty()) {
     return InvalidArgumentError("graph has no outputs");
@@ -235,6 +255,29 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
   sched.hidden_slot = slot(g.node(g.outputs().front()).inputs[0]);
   sched.logits_slot = slot(g.node(g.outputs().back()).inputs[0]);
   return sched;
+}
+
+StatusOr<CompiledSchedule> WithLogitsRows(const CompiledSchedule& sched,
+                                          int64_t logits_rows,
+                                          PlacementPolicy* policy) {
+  HCHECK(policy != nullptr);
+  HCHECK(sched.tail.size() == 2);
+  if (logits_rows < 1 || logits_rows > sched.rows) {
+    return InvalidArgumentError(StrFormat(
+        "logits_rows %lld outside [1, %lld]",
+        static_cast<long long>(logits_rows),
+        static_cast<long long>(sched.rows)));
+  }
+  CompiledSchedule out = sched;  // copies the tail, shares the body
+  out.logits_rows = logits_rows;
+  out.tail[0].begin = sched.rows - logits_rows;
+  ScheduleStep& head = out.tail[1];
+  CountMatmul(head, -1, &out);
+  head.shape.m = logits_rows;
+  head.plan = policy->PlanMatmul(head.site, head.shape, sched.phase);
+  head.npu_graphs = NpuGraphRefs(head.plan, head.shape, head.op_id);
+  CountMatmul(head, +1, &out);
+  return out;
 }
 
 }  // namespace heterollm::graph

@@ -3,18 +3,22 @@
 // partition plans, KV-cache appends, cross-device sync points, merge steps
 // and static NPU-graph references).
 //
-// A schedule is compiled once per (phase, sequence/row bucket, serving
-// batch) and cached by the engine, so per-token planning — site resolution,
-// solver/profiler consultation, plan-cache lookups — disappears from the
-// decode hot path: replaying a step only submits the kernels the plan
-// already names. The executor (`src/core/schedule_executor.h`) replays the
-// steps against the simulated Platform through the engine's own
-// SubmitKernel/EnsureVisible machinery; it is the engine's only execution
-// path.
+// A schedule is compiled once per (phase, row count, logits rows) and cached
+// by the engine, so per-token planning — site resolution, solver/profiler
+// consultation, plan-cache lookups — disappears from the decode hot path:
+// replaying a step only submits the kernels the plan already names. A
+// schedule is a decoder *body* (every step through the final norm, shared
+// between schedules of one phase and row count) and a two-step logits
+// *tail* (kLastRows + the LM head); `WithLogitsRows` re-targets the tail
+// without recompiling the body. The executor
+// (`src/core/schedule_executor.h`) replays the steps against the simulated
+// Platform through the engine's own SubmitKernel/EnsureVisible machinery;
+// it is the engine's only execution path.
 
 #ifndef SRC_GRAPH_SCHEDULE_H_
 #define SRC_GRAPH_SCHEDULE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,8 +43,9 @@ enum class StepKind {
   // Zero-cost column view of a fused matmul result (the slices address
   // disjoint ranges of one unified buffer); carries the producer's deps.
   kSliceCols,
-  // LM-head input alias: the last row in single-session mode (only the last
-  // position's logits are needed), every row in a serving batch.
+  // LM-head input alias: the schedule's last `logits_rows` rows (the last
+  // row of one session's pass, every row of a decode/verify batch, the
+  // chunk's last row plus the decode rows of a fused hybrid round).
   kLastRows,
 };
 
@@ -69,13 +74,19 @@ struct ScheduleStep {
 
 struct CompiledSchedule {
   core::Phase phase = core::Phase::kPrefill;
-  int64_t rows = 0;      // input rows (seq length / decode width / batch)
-  bool serving = false;  // serving batch: per-slot attention, all-row head
-  int num_slots = 0;     // dataflow value slots the executor allocates
+  int64_t rows = 0;  // input rows (seq length / decode width / batch)
+  // The LM head runs over rows [rows - logits_rows, rows).
+  int64_t logits_rows = 1;
+  int num_slots = 0;  // dataflow value slots the executor allocates
   int input_slot = -1;
   int hidden_slot = -1;  // final hidden state (post final-norm)
   int logits_slot = -1;
-  std::vector<ScheduleStep> steps;
+  // Every step through the final norm. It does not depend on logits_rows,
+  // so the schedules of one (phase, rows) share a single copy.
+  std::shared_ptr<const std::vector<ScheduleStep>> body;
+  // kLastRows over the logits rows, then the LM-head matmul placed at
+  // m = logits_rows. Replayed after the body.
+  std::vector<ScheduleStep> tail;
   // Static structure counts (diagnostics, docs, tests).
   int matmul_steps = 0;
   int fused_qkv_steps = 0;
@@ -86,11 +97,19 @@ struct CompiledSchedule {
   std::string Summary() const;
 };
 
-// Compiles `placed` into a replayable schedule (serving mode is taken from
+// Compiles `placed` into a replayable schedule (logits rows are taken from
 // the placed graph). The placed graph must follow the decoder conventions
-// the builder emits: weights referenced by `weight_ref`, outputs
-// [hidden, logits].
+// the builder emits: weights referenced by `weight_ref`, the LM head as the
+// last compute op, outputs [hidden, logits].
 StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed);
+
+// `sched` with its logits tail re-targeted at `logits_rows`: the LM head is
+// re-planned under `policy` at m = logits_rows and kLastRows re-emitted;
+// the body is shared, not copied or re-planned. Fails unless logits_rows
+// is in [1, sched.rows].
+StatusOr<CompiledSchedule> WithLogitsRows(const CompiledSchedule& sched,
+                                          int64_t logits_rows,
+                                          PlacementPolicy* policy);
 
 }  // namespace heterollm::graph
 

@@ -36,9 +36,6 @@ Status SchedulerOptions::Validate() const {
   if (prefill_chunk_tokens < 1) {
     return InvalidArgumentError("prefill_chunk_tokens must be >= 1");
   }
-  if (iteration_token_budget < 0) {
-    return InvalidArgumentError("iteration_token_budget must be >= 0");
-  }
   return Status::Ok();
 }
 
@@ -108,8 +105,8 @@ struct IterationScheduler::Continuous {
   PrefixCache prefix;
   const bool use_prefix;
   // Chunked-prefill mode (IterationPolicy::kHybridChunked): admission only
-  // reserves the slot; the prompt then prefills chunk-by-chunk inside the
-  // hybrid iterations, interleaved with the batched decode.
+  // reserves the slot; the prompt then prefills chunk-by-chunk, each chunk
+  // fused with a round's batched decode.
   const bool hybrid;
 
   struct Slot {
@@ -409,8 +406,8 @@ struct IterationScheduler::Continuous {
     rm.admitted = engine->host_now();
     if (hybrid) {
       // Chunked admission is just the slot setup: the prompt prefills as
-      // budgeted chunks inside the following hybrid iterations
-      // (ChunkIteration stamps first_token when the last chunk commits).
+      // chunks inside the following hybrid rounds (FinishChunk stamps
+      // first_token when the last chunk commits).
       const int64_t committed = slot.cache->length();
       m->prefilled_tokens += r.prompt_len - (resuming ? committed : 0);
       if (resuming) {
@@ -453,7 +450,7 @@ struct IterationScheduler::Continuous {
   // Round-robin fair selection: the max_decode_batch least recently
   // decoded sessions run this iteration (stable by arrival for ties).
   // Hybrid slots still inside their prompt cannot decode yet and are
-  // skipped — their tokens flow through ChunkIteration instead.
+  // skipped — their tokens flow through ReserveChunk instead.
   std::vector<size_t> SelectOrder() const {
     std::vector<size_t> order;
     order.reserve(active.size());
@@ -472,17 +469,30 @@ struct IterationScheduler::Continuous {
     return order;
   }
 
-  // One batched decode (or speculative verify) iteration. Returns false —
-  // with nothing decoded — only when the pool cannot supply the next
-  // block(s) and no recovery move is left; the caller then waits for the
-  // next condition event (only a scripted KV squeeze can pin the pool under
-  // the admission-time reservations) instead of the old hard abort.
-  bool DecodeIteration() {
+  // Decode/verify rows reserved for one engine pass: the selected sessions
+  // whose caches took the step's blocks (positions in `active`) and the
+  // rows each appends — 1, or the draft window + 1 under speculation.
+  struct DecodeRows {
+    std::vector<size_t> ready;
+    std::vector<KvCache*> caches;
+    int64_t rows = 1;
+    int64_t total() const {
+      return static_cast<int64_t>(caches.size()) * rows;
+    }
+  };
+
+  // Reserves one batched decode (or speculative verify) step for the
+  // round-robin-selected sessions. Comes back with no sessions — nothing
+  // reserved — only when none is decoding, or the pool cannot supply the
+  // next block(s) and no recovery move is left; the caller then waits for
+  // the next condition event (only a scripted KV squeeze can pin the pool
+  // under the admission-time reservations) instead of the old hard abort.
+  DecodeRows ReserveDecode() {
     std::vector<size_t> order = SelectOrder();
-    // Rows each session appends this iteration: 1, or draft window + 1
-    // under speculation. Under pool pressure the window is shed first —
-    // degrading to plain decode is cheaper than evicting a session.
-    int64_t rows = spec_window > 0 ? spec_window + 1 : 1;
+    DecodeRows d;
+    // Under pool pressure the speculative window is shed first — degrading
+    // to plain decode is cheaper than evicting a session.
+    d.rows = spec_window > 0 ? spec_window + 1 : 1;
     // Allocate-on-append: this iteration appends `rows` tokens per selected
     // session, which may need fresh blocks (including a copy-on-write fork
     // of a shared tail — BlocksNeededFor counts it exactly as BeginStep
@@ -492,7 +502,7 @@ struct IterationScheduler::Continuous {
     auto blocks_needed = [&] {
       int64_t n = 0;
       for (size_t s : order) {
-        n += active[s].cache->BlocksNeededFor(rows);
+        n += active[s].cache->BlocksNeededFor(d.rows);
       }
       return n;
     };
@@ -500,8 +510,8 @@ struct IterationScheduler::Continuous {
       if (prefix.EvictUntilFree(blocks_needed()) > 0) {
         continue;
       }
-      if (rows > 1) {
-        rows = 1;
+      if (d.rows > 1) {
+        d.rows = 1;
         continue;
       }
       if (options.allow_eviction && active.size() > 1) {
@@ -509,7 +519,7 @@ struct IterationScheduler::Continuous {
         order = SelectOrder();
         continue;
       }
-      return false;
+      return d;
     }
     // Reserve block-exactly per session before the engine opens the
     // transactional steps. TryReserveStep either takes every block the step
@@ -517,28 +527,28 @@ struct IterationScheduler::Continuous {
     // BeginStep inside the engine then allocates nothing. A session that
     // cannot reserve (a squeeze racing the aggregate check above) sits this
     // iteration out instead of aborting the process.
-    std::vector<size_t> ready;
-    std::vector<KvCache*> caches;
-    ready.reserve(order.size());
-    caches.reserve(order.size());
+    d.ready.reserve(order.size());
+    d.caches.reserve(order.size());
     for (size_t s : order) {
-      if (active[s].cache->TryReserveStep(rows)) {
-        ready.push_back(s);
-        caches.push_back(active[s].cache.get());
+      if (active[s].cache->TryReserveStep(d.rows)) {
+        d.ready.push_back(s);
+        d.caches.push_back(active[s].cache.get());
       }
     }
-    if (caches.empty()) {
-      return false;
-    }
-    engine->Execute(
-        core::Batch::Deferred(core::Phase::kDecode, caches, rows, cfg.hidden));
+    return d;
+  }
+
+  // The decode epilogue once the engine pass has appended `d`'s rows:
+  // speculative acceptance, rollback of rejected drafts, progress and
+  // completions.
+  void FinishDecode(const DecodeRows& d) {
     ++iter;
     ++m->decode_iterations;
-    batch_accum += static_cast<double>(ready.size());
+    batch_accum += static_cast<double>(d.ready.size());
     const MicroSeconds now = engine->host_now();
-    const int k = static_cast<int>(rows) - 1;  // drafts verified per session
+    const int k = static_cast<int>(d.rows) - 1;  // drafts verified per session
     std::vector<size_t> done;
-    for (size_t s : ready) {
+    for (size_t s : d.ready) {
       Slot& slot = active[s];
       slot.last_iter = iter;
       RequestMetrics& rm = m->requests[slot.idx];
@@ -549,7 +559,7 @@ struct IterationScheduler::Continuous {
         // the rejected suffix back. Rolled-back rows never count toward
         // decoded totals, TPOT intervals or token throughput — only the
         // draft/accepted counters see them.
-        const int64_t len_before = slot.cache->length() - rows;
+        const int64_t len_before = slot.cache->length() - d.rows;
         int accepted = 0;
         while (accepted < k &&
                spec_rng.NextUnit() < options.speculative_acceptance) {
@@ -574,18 +584,26 @@ struct IterationScheduler::Continuous {
     for (auto it = done.rbegin(); it != done.rend(); ++it) {
       active.erase(active.begin() + static_cast<ptrdiff_t>(*it));
     }
-    return true;
   }
 
-  // Runs the next prefill chunk — at most `max_tokens` prompt tokens of one
-  // prefilling session — as a single transactional engine pass. Picks the
-  // session with the fewest prompt tokens left (shortest-remaining-prefill:
-  // short prompts are not pinned behind a long document, which is what
-  // keeps the TTFT mean competitive with kPrefillFirst); ties fall to the
-  // earlier arrival, so the pick is deterministic. Returns false when no
-  // session is prefilling or the pool cannot supply the chunk's blocks
-  // (only a scripted KV squeeze can — admission reserved the footprint).
-  bool ChunkIteration(int64_t max_tokens) {
+  // One prefill chunk reserved for an engine pass: the session (its request
+  // index, which stays valid while the decode epilogue reshuffles
+  // `active`), its cache and the prompt rows the chunk runs.
+  struct ChunkRows {
+    size_t idx = 0;
+    KvCache* cache = nullptr;  // null: no chunk this round
+    int64_t rows = 0;
+  };
+
+  // Reserves the next prefill chunk — at most `max_tokens` prompt tokens of
+  // one prefilling session. Picks the session with the fewest prompt tokens
+  // left (shortest-remaining-prefill: short prompts are not pinned behind a
+  // long document, which is what keeps the TTFT mean competitive with
+  // kPrefillFirst); ties fall to the earlier arrival, so the pick is
+  // deterministic. Comes back without a cache when no session is
+  // prefilling or the pool cannot supply the chunk's blocks (only a
+  // scripted KV squeeze can — admission reserved the footprint).
+  ChunkRows ReserveChunk(int64_t max_tokens) {
     size_t pick = active.size();
     int64_t pick_left = 0;
     for (size_t s = 0; s < active.size(); ++s) {
@@ -601,14 +619,11 @@ struct IterationScheduler::Continuous {
       }
     }
     if (pick == active.size()) {
-      return false;
+      return {};
     }
     Slot& slot = active[pick];
-    const Request& r = requests[slot.idx];
-    const int64_t offset = slot.cache->length();
-    const int64_t len = std::min<int64_t>(std::max<int64_t>(max_tokens, 1),
-                                          r.prompt_len - offset);
-    // Block pressure mirrors DecodeIteration: make room before the engine
+    const int64_t len = std::min(max_tokens, pick_left);
+    // Block pressure mirrors ReserveDecode: make room before the engine
     // opens the transactional step, shedding cached prefixes and parked
     // prompt state; TryReserveStep then either takes every block or none.
     while (slot.cache->BlocksNeededFor(len) > pool.available_blocks()) {
@@ -618,72 +633,84 @@ struct IterationScheduler::Continuous {
       if (DropOneParked(slot.idx)) {
         continue;
       }
-      return false;  // squeezed: wait for the next condition event
+      return {};  // squeezed: wait for the next condition event
     }
     if (!slot.cache->TryReserveStep(len)) {
-      return false;
+      return {};
     }
-    engine->Execute(core::Batch::Deferred(
-        core::Phase::kPrefill, {slot.cache.get()}, len, cfg.hidden));
-    ++m->prefill_chunks;
-    m->chunked_prefill_tokens += len;
-    if (slot.cache->length() >= r.prompt_len) {
-      // Last chunk committed — the same epilogue the one-shot prefill path
-      // runs at admission: TTFT stamps here, the committed prompt becomes
-      // prefix-cache currency, and decode-less requests complete.
-      RequestMetrics& rm = m->requests[slot.idx];
-      rm.first_token = engine->host_now();
-      if (use_prefix && !r.prompt_tokens.empty()) {
-        prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
-                      slot.cache->length());
-      }
-      if (r.decode_len == 0) {
-        rm.completion = rm.first_token;
-        ++completed;  // slot.cache destructs: blocks return to the pool
-        completions.push_back({r.id, rm.completion});
-        active.erase(active.begin() + static_cast<ptrdiff_t>(pick));
-      }
-    }
-    return true;
+    return {slot.idx, slot.cache.get(), len};
   }
 
-  // One stage-aware hybrid iteration: the batched decode runs first (decode
-  // cadence is what chunking protects), then the remainder of the round's
-  // token budget funds one prefill chunk on the same clock — so a decode
-  // round waits behind at most one chunk of any prefill, never the whole
-  // prompt. Returns false only when neither half could progress (the pool
+  // The chunk epilogue once the engine pass has appended `c`'s rows.
+  void FinishChunk(const ChunkRows& c) {
+    ++m->prefill_chunks;
+    m->chunked_prefill_tokens += c.rows;
+    const Request& r = requests[c.idx];
+    if (c.cache->length() < r.prompt_len) {
+      return;
+    }
+    // Last chunk committed — the same epilogue the one-shot prefill path
+    // runs at admission: TTFT stamps here, the committed prompt becomes
+    // prefix-cache currency, and decode-less requests complete.
+    RequestMetrics& rm = m->requests[c.idx];
+    rm.first_token = engine->host_now();
+    if (use_prefix && !r.prompt_tokens.empty()) {
+      prefix.Insert(r.prompt_tokens, c.cache->blocks(), c.cache->length());
+    }
+    if (r.decode_len == 0) {
+      rm.completion = rm.first_token;
+      ++completed;
+      completions.push_back({r.id, rm.completion});
+      // The slot's cache destructs: blocks return to the pool.
+      active.erase(std::find_if(active.begin(), active.end(),
+                                [&](const Slot& s) { return s.idx == c.idx; }));
+    }
+  }
+
+  // One round's engine pass: the batched decode (or speculative verify)
+  // rows, plus one prefill chunk when a session is mid-prompt — only
+  // kHybridChunked leaves sessions there; the other policies prefill whole
+  // prompts at admission, so their rounds are the decode batch alone. The
+  // decode rows are reserved first (decode cadence is what chunking
+  // protects) and the chunk gets the rest of `prefill_chunk_tokens`,
+  // floored at one token — a saturated decode batch slows prefill down but
+  // can never starve it outright. With both present the chunk slot leads a
+  // fused Phase::kPrefill batch (`core::Batch::Hybrid`) and the decode rows
+  // ride its weight stream, so a decode round waits behind at most one
+  // chunk of any prefill and every weight streams once per round. Returns
+  // false — with nothing run — only when neither could progress (the pool
   // is pinned by a scripted squeeze); the caller waits for the next event.
-  bool HybridIteration() {
-    const int64_t rows = spec_window > 0 ? spec_window + 1 : 1;
-    const int64_t budget =
-        options.iteration_token_budget > 0
-            ? options.iteration_token_budget
-            : options.prefill_chunk_tokens +
-                  static_cast<int64_t>(options.max_decode_batch) * rows;
-    int64_t decode_ready = 0;
-    for (const Slot& slot : active) {
-      if (!Prefilling(slot)) {
-        ++decode_ready;
+  bool Iteration() {
+    const DecodeRows decode = ReserveDecode();
+    const ChunkRows chunk = ReserveChunk(std::max<int64_t>(
+        1, options.prefill_chunk_tokens - decode.total()));
+    const bool decoding = !decode.caches.empty();
+    if (chunk.cache == nullptr) {
+      if (!decoding) {
+        return false;
       }
-    }
-    bool decoded = false;
-    int64_t decode_tokens = 0;
-    if (decode_ready > 0) {
-      decode_tokens =
-          std::min<int64_t>(decode_ready, EffectiveDecodeBatch()) * rows;
-      decoded = DecodeIteration();
-    }
-    // The chunk gets whatever the decode rows left of the budget, capped at
-    // the chunk size and floored at one token — a saturated decode batch
-    // slows prefill down but can never starve it outright.
-    const int64_t chunk_budget =
-        std::min<int64_t>(options.prefill_chunk_tokens,
-                          std::max<int64_t>(1, budget - decode_tokens));
-    const bool chunked = ChunkIteration(chunk_budget);
-    if (decoded && chunked) {
+      engine->Execute(core::Batch::Deferred(core::Phase::kDecode,
+                                            decode.caches, decode.rows,
+                                            cfg.hidden));
+    } else if (!decoding) {
+      engine->Execute(core::Batch::Deferred(core::Phase::kPrefill,
+                                            {chunk.cache}, chunk.rows,
+                                            cfg.hidden));
+    } else {
+      engine->Execute(core::Batch::Hybrid(chunk.cache, chunk.rows,
+                                          decode.caches, decode.rows,
+                                          cfg.hidden));
       ++m->hybrid_iterations;
     }
-    return decoded || chunked;
+    // Decode epilogue first: the speculative acceptance draws keep the
+    // order a decode-only round takes them in.
+    if (decoding) {
+      FinishDecode(decode);
+    }
+    if (chunk.cache != nullptr) {
+      FinishChunk(chunk);
+    }
+    return true;
   }
 
   // One scheduling round — one body of the old serving loop. Returns false
@@ -705,7 +732,7 @@ struct IterationScheduler::Continuous {
       }
     }
     if (!active.empty()) {
-      if (!(hybrid ? HybridIteration() : DecodeIteration())) {
+      if (!Iteration()) {
         // The pool is pinned under this batch's next block with no
         // recovery move left — only a scripted KV squeeze can do that
         // (admission reserved every session's whole footprint). Wait for

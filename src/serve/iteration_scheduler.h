@@ -68,15 +68,20 @@ enum class IterationPolicy {
   // a steady TPOT while arrivals trickle in.
   kDecodeFair,
   // Chunked prefill with stage-aware hybrid iterations: prompts prefill in
-  // `prefill_chunk_tokens`-sized transactional chunks, and every scheduling
-  // round runs the batched decode iteration plus at most one chunk, the two
-  // sharing `iteration_token_budget` tokens — so no decode round ever waits
-  // behind a full long prefill (the paper's §5.5 starvation scenario).
-  // Chunk state persists on the session: preemption parks the committed
-  // prompt blocks and re-admission resumes at the next chunk instead of
-  // re-prefilling. TTFT keeps its meaning (the last chunk's commit time);
-  // prefix-cache hits skip whole chunks; speculative decoding runs
-  // unchanged in the decode half.
+  // transactional chunks, and every scheduling round is one engine pass of
+  // at most `prefill_chunk_tokens` rows — the batched decode/verify rows
+  // first, then one prefill chunk in whatever remains (at least one token)
+  // — so no decode round ever waits behind a full long prefill (the
+  // paper's §5.5 starvation scenario). With both present the pass is one
+  // Phase::kPrefill batch, chunk slot first and decode slots after it, so
+  // the decode rows ride the chunk's weight stream and the logits rows
+  // (the chunk's last row plus every decode row) form a contiguous suffix;
+  // a full round is exactly one standard NPU graph. Chunk state persists
+  // on the session: preemption parks the committed prompt blocks and
+  // re-admission resumes at the next chunk instead of re-prefilling. TTFT
+  // keeps its meaning (the last chunk's commit time); prefix-cache hits
+  // skip whole chunks; speculative verify rows ride the decode part
+  // unchanged.
   kHybridChunked,
 };
 
@@ -127,24 +132,21 @@ struct SchedulerOptions {
   double speculative_acceptance = 0.75;
   // Seeds the acceptance draws — runs are deterministic per seed.
   uint64_t speculative_seed = 17;
-  // Chunked prefill (iteration == kHybridChunked; ignored otherwise): max
-  // prompt tokens one prefill chunk runs per hybrid iteration. Long prompts
-  // split into ceil(prompt / chunk) transactional chunks; `BuildServingEngine`
-  // pre-compiles the chunk-width schedule alongside the standard prefill
-  // sizes (ragged last chunks decompose/pad like any non-standard length).
+  // Chunked prefill (iteration == kHybridChunked; ignored otherwise): rows
+  // of one hybrid round's engine pass, shared between the decode rows
+  // (reserved first) and one prefill chunk (the remainder, floored at one
+  // token so a saturated decode batch can never starve prefill into
+  // livelock). Long prompts split into transactional chunks of at most
+  // this size; `BuildServingEngine` pre-compiles this width as a standard
+  // prefill size, so a full round is one standard NPU graph (ragged rounds
+  // decompose/pad like any non-standard length).
   int64_t prefill_chunk_tokens = 256;
-  // Per-iteration token budget shared between the decode rows and the
-  // prefill chunk of one hybrid iteration. Decode rows are priced first and
-  // the chunk gets the remainder, floored at one token so a saturated
-  // decode batch can never starve prefill into livelock. 0 derives
-  // prefill_chunk_tokens + max_decode_batch * (speculative rows).
-  int64_t iteration_token_budget = 0;
 
   // Field-level validity: max_decode_batch >= 1, kv_budget_bytes > 0,
   // kv_block_tokens >= 1, speculative_window >= 0, speculative_acceptance
-  // in [0, 1], prefill_chunk_tokens >= 1, iteration_token_budget >= 0, and
-  // the budget affords at least one block's worth
-  // of bytes is checked downstream (it needs the model config).
+  // in [0, 1], prefill_chunk_tokens >= 1. Whether the budget affords at
+  // least one block's worth of bytes is checked downstream (it needs the
+  // model config).
   Status Validate() const;
   // The SolverConfig pattern: a Status-returning factory so callers handle
   // bad options as errors instead of aborting inside the scheduler.
@@ -193,7 +195,8 @@ class IterationScheduler {
   void Submit(const Request& request);
 
   // One scheduling round: pump arrivals, admit (policy-dependent), then one
-  // batched decode/verify iteration — or an idle/stall advance when nothing
+  // engine pass — a batched decode/verify iteration, under kHybridChunked
+  // fused with one prefill chunk — or an idle/stall advance when nothing
   // is runnable. Returns false (and does nothing) when every submitted
   // request has completed.
   bool StepRound();

@@ -46,10 +46,11 @@ StatusOr<std::unique_ptr<core::EngineBase>> BuildServingEngine(
       std::unique(base.decode_widths.begin(), base.decode_widths.end()),
       base.decode_widths.end());
   if (options.iteration == IterationPolicy::kHybridChunked) {
-    // Hybrid iterations prefill at the chunk width every round: promote it
-    // to a standard sequence size so its schedule (and static NPU graph) is
-    // pre-compiled like any common prefill length. Ragged last chunks
-    // decompose/pad through the usual non-standard-length path.
+    // A full hybrid round is one pass at the chunk width (decode rows plus
+    // the chunk): promote it to a standard sequence size so its schedule
+    // (and static NPU graph) is pre-compiled like any common prefill
+    // length. Ragged rounds decompose/pad through the usual
+    // non-standard-length path.
     base.standard_seq_sizes.push_back(options.prefill_chunk_tokens);
     std::sort(base.standard_seq_sizes.begin(), base.standard_seq_sizes.end());
     base.standard_seq_sizes.erase(

@@ -225,7 +225,7 @@ std::vector<int32_t> SpeculativeDecoder::Generate(int count) {
             : Tensor::ConcatRows(rows);
     const int64_t len_before = cache_->length();
     core::Batch verify = core::Batch::One(core::Phase::kDecode, cache_, input);
-    verify.all_logits = true;
+    verify.logits_rows = static_cast<int64_t>(k) + 1;
     core::PhaseStats ps = engine_->Execute(verify);
 
     // Accept the longest draft prefix the target model agrees with.

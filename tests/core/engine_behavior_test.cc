@@ -182,6 +182,38 @@ TEST(EngineBehaviorTest, ChunkedEngineChunksPrefillBatches) {
   EXPECT_EQ(cache.length(), 600);
 }
 
+// Schedules that differ only in logits rows share one compiled body: a
+// 3-row single-session step, a 3-slot decode batch and a 3-row verify all
+// run the same decoder body, and only the LM-head tail is re-planned.
+TEST(EngineBehaviorTest, LogitsRowCountsShareOneCompiledBody) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  ModelWeights w = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  Platform plat(PlatformOptionsFor("Hetero-tensor"));
+  auto engine = CreateEngine("Hetero-tensor", &plat, &w);
+  std::vector<std::unique_ptr<model::KvCache>> caches;
+  std::vector<model::KvCache*> batch;
+  for (int i = 0; i < 3; ++i) {
+    caches.push_back(std::make_unique<model::KvCache>(
+        cfg, 64, ExecutionMode::kSimulate));
+    batch.push_back(caches.back().get());
+  }
+  const PhaseStats last = engine->Execute(
+      Batch::Deferred(Phase::kDecode, {batch[0]}, 3, cfg.hidden));
+  EXPECT_EQ(engine->schedule_compiles(), 1);
+  EXPECT_EQ(last.logits.shape().rows(), 1);
+  const PhaseStats all =
+      engine->Execute(Batch::Deferred(Phase::kDecode, batch, 1, cfg.hidden));
+  EXPECT_EQ(engine->schedule_compiles(), 1);  // new tail, same body
+  EXPECT_EQ(all.tokens, 3);
+  EXPECT_EQ(all.logits.shape().rows(), 3);
+  Batch verify = Batch::Deferred(Phase::kDecode, {batch[1]}, 3, cfg.hidden);
+  verify.logits_rows = 3;
+  engine->Execute(verify);  // the 3-slot batch's schedule, cached
+  EXPECT_EQ(engine->schedule_compiles(), 1);
+  engine->Execute(Batch::Deferred(Phase::kPrefill, {batch[2]}, 3, cfg.hidden));
+  EXPECT_EQ(engine->schedule_compiles(), 2);  // another phase: a new body
+}
+
 TEST(EngineBehaviorTest, SpeculativeWidthImprovesThroughput) {
   // A width-4 decode step produces 4 tokens in far less than 4x the time of
   // a width-1 step (the op is bandwidth-bound: weights stream once).

@@ -264,6 +264,46 @@ TEST(ScheduleEquivalenceTest, ChunkedPrefillTimingMatchesLegacy) {
   });
 }
 
+// A fused hybrid round: two sessions decoding and a third mid-prompt. The
+// round runs as one 32-row prefill pass — a 26-row chunk slot first, then
+// two 3-row verify slots — whose LM head covers the last 7 rows; a second
+// round takes the prompt's ragged end with one decode row per session.
+// Last, a plain 32-row chunk of a fourth prompt reuses the fused round's
+// compiled body with a one-row logits tail.
+TEST(ScheduleEquivalenceTest, FusedHybridRoundTimingIsPinned) {
+  const Golden golden = {{0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.f208637bd05bp+8,
+                          0x1.171d5c31593e8p+9,
+                          0x1.170c9539b8888p+9,
+                          0x1.f208637bd05bp+8},
+                         0x515ff334e2a490d4ull};
+  ExpectServingGolden(golden, [](EngineBase& engine, const ModelConfig& cfg,
+                                 std::vector<MicroSeconds>& latencies) {
+    std::vector<std::unique_ptr<KvCache>> caches;
+    const std::vector<KvCache*> decode =
+        PrefillSessions(engine, cfg, 2, caches, latencies);
+    KvCache prompt(cfg, 256, ExecutionMode::kSimulate);
+    latencies.push_back(
+        engine
+            .Execute(Batch::Deferred(Phase::kPrefill, {&prompt}, 20,
+                                     cfg.hidden))
+            .latency);
+    latencies.push_back(
+        engine.Execute(Batch::Hybrid(&prompt, 26, decode, 3, cfg.hidden))
+            .latency);
+    latencies.push_back(
+        engine.Execute(Batch::Hybrid(&prompt, 9, decode, 1, cfg.hidden))
+            .latency);
+    KvCache other(cfg, 256, ExecutionMode::kSimulate);
+    latencies.push_back(
+        engine
+            .Execute(Batch::Deferred(Phase::kPrefill, {&other}, 32,
+                                     cfg.hidden))
+            .latency);
+  });
+}
+
 // Fused-QKV execution (FuseQkv pass -> one matmul + column slices) must
 // match the graph interpreter running the same optimized graph.
 TEST(ScheduleEquivalenceTest, FusedQkvMatchesInterpreterOnOptimizedGraph) {

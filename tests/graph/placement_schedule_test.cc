@@ -3,6 +3,8 @@
 // schedule (step counts, layer markers, LM-head row handling, NPU graph
 // references).
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/graph/builder.h"
@@ -44,6 +46,13 @@ Graph OptimizedGraph(const ModelConfig& cfg, int64_t rows, bool fuse_qkv) {
   g = EliminateDeadNodes(g).graph;
   HCHECK(InferShapes(&g, cfg, rows).ok());
   return g;
+}
+
+// The body steps followed by the logits tail, in replay order.
+std::vector<ScheduleStep> AllSteps(const CompiledSchedule& s) {
+  std::vector<ScheduleStep> steps = *s.body;
+  steps.insert(steps.end(), s.tail.begin(), s.tail.end());
+  return steps;
 }
 
 TEST(PlacementTest, AnnotatesEveryMatmulWithSiteAndPlan) {
@@ -89,20 +98,33 @@ TEST(PlacementTest, FusedQkvBecomesOneSiteWithThreeWeights) {
   EXPECT_EQ(fused_seen, cfg.num_layers);
 }
 
+// The LM head runs over the logits rows only: 1 for one session, every row
+// when serving, and in a fused hybrid round the chunk's last row plus the
+// decode rows (here 6). The body always runs every row.
 TEST(PlacementTest, LmHeadPlacedAtOneRowUnlessServing) {
   const ModelConfig cfg = ModelConfig::Tiny();
   Graph g = OptimizedGraph(cfg, 32, /*fuse_qkv=*/false);
   NpuPolicy policy;
-  auto single = PlaceGraph(g, Phase::kPrefill, &policy, /*serving=*/false);
-  auto serving = PlaceGraph(g, Phase::kDecode, &policy, /*serving=*/true);
-  ASSERT_TRUE(single.ok() && serving.ok());
+  auto single = PlaceGraph(g, Phase::kPrefill, &policy, /*logits_rows=*/1);
+  auto serving = PlaceGraph(g, Phase::kDecode, &policy, /*logits_rows=*/32);
+  auto fused = PlaceGraph(g, Phase::kPrefill, &policy, /*logits_rows=*/6 + 1);
+  ASSERT_TRUE(single.ok() && serving.ok() && fused.ok());
+  EXPECT_EQ(fused.value().logits_rows, 7);
   for (NodeId id : g.LiveNodesInOrder()) {
-    if (single.value().placements[id].is_matmul &&
-        single.value().placements[id].site == MatmulSite::kLmHead) {
+    const NodePlacement& p = fused.value().placements[id];
+    if (!p.is_matmul) {
+      continue;
+    }
+    if (p.site == MatmulSite::kLmHead) {
       EXPECT_EQ(single.value().placements[id].shape.m, 1);
       EXPECT_EQ(serving.value().placements[id].shape.m, 32);
+      EXPECT_EQ(p.shape.m, 7);
+    } else {
+      EXPECT_EQ(p.shape.m, 32);
     }
   }
+  EXPECT_FALSE(PlaceGraph(g, Phase::kPrefill, &policy, 0).ok());
+  EXPECT_FALSE(PlaceGraph(g, Phase::kPrefill, &policy, 33).ok());
 }
 
 TEST(PlacementTest, RequiresInferredShapes) {
@@ -146,7 +168,7 @@ TEST(ScheduleTest, CompilesDecoderStructure) {
 
   int begin_layers = 0;
   bool saw_last_rows = false;
-  for (const ScheduleStep& step : s.steps) {
+  for (const ScheduleStep& step : AllSteps(s)) {
     if (step.kind == StepKind::kBeginLayer) {
       ++begin_layers;
     }
@@ -174,7 +196,7 @@ TEST(ScheduleTest, FusedScheduleEmitsSlicesAndFewerMatmuls) {
   EXPECT_EQ(s.fused_qkv_steps, cfg.num_layers);
   EXPECT_EQ(s.matmul_steps, cfg.num_layers * 5 + 1);
   int slices = 0;
-  for (const ScheduleStep& step : s.steps) {
+  for (const ScheduleStep& step : AllSteps(s)) {
     if (step.kind == StepKind::kSliceCols) {
       ++slices;
     }
@@ -191,17 +213,75 @@ TEST(ScheduleTest, ServingScheduleRunsHeadOverAllRows) {
   const ModelConfig cfg = ModelConfig::Tiny();
   Graph g = OptimizedGraph(cfg, 4, /*fuse_qkv=*/false);
   NpuPolicy policy;
-  auto placed = PlaceGraph(g, Phase::kDecode, &policy, /*serving=*/true);
+  auto placed = PlaceGraph(g, Phase::kDecode, &policy, /*logits_rows=*/4);
   ASSERT_TRUE(placed.ok());
   auto sched = CompileSchedule(placed.value());
   ASSERT_TRUE(sched.ok());
-  EXPECT_TRUE(sched.value().serving);
-  for (const ScheduleStep& step : sched.value().steps) {
+  EXPECT_EQ(sched.value().logits_rows, 4);
+  for (const ScheduleStep& step : AllSteps(sched.value())) {
     if (step.kind == StepKind::kLastRows) {
       EXPECT_EQ(step.begin, 0);  // every row is a session's last position
       EXPECT_EQ(step.end, 4);
     }
   }
+}
+
+// The logits tail of a fused round: kLastRows starts at rows - logits_rows
+// and the LM-head step runs (and references its NPU graph) at
+// m = logits_rows.
+TEST(ScheduleTest, LogitsTailIsTheLastLogitsRows) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  Graph g = OptimizedGraph(cfg, 32, /*fuse_qkv=*/false);
+  NpuPolicy policy;
+  auto placed = PlaceGraph(g, Phase::kPrefill, &policy, /*logits_rows=*/7);
+  ASSERT_TRUE(placed.ok());
+  auto sched = CompileSchedule(placed.value());
+  ASSERT_TRUE(sched.ok()) << sched.status().ToString();
+  const CompiledSchedule& s = sched.value();
+  EXPECT_EQ(s.logits_rows, 7);
+  ASSERT_EQ(s.tail.size(), 2u);
+  EXPECT_EQ(s.tail[0].kind, StepKind::kLastRows);
+  EXPECT_EQ(s.tail[0].begin, 32 - 7);
+  EXPECT_EQ(s.tail[0].end, 32);
+  EXPECT_EQ(s.tail[1].kind, StepKind::kMatmul);
+  EXPECT_EQ(s.tail[1].site, MatmulSite::kLmHead);
+  EXPECT_EQ(s.tail[1].shape.m, 7);
+  ASSERT_EQ(s.tail[1].npu_graphs.size(), 1u);
+  EXPECT_EQ(s.tail[1].npu_graphs[0].m, 7);
+  EXPECT_EQ(s.logits_slot, s.tail[1].out);
+  for (const ScheduleStep& step : *s.body) {
+    EXPECT_NE(step.kind, StepKind::kLastRows);
+    EXPECT_FALSE(step.kind == StepKind::kMatmul &&
+                 step.site == MatmulSite::kLmHead);
+  }
+}
+
+// Re-targeting the logits tail shares the body and yields the schedule a
+// full compile at that logits-row count produces.
+TEST(ScheduleTest, WithLogitsRowsSharesBodyAndMatchesFullCompile) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  Graph g = OptimizedGraph(cfg, 32, /*fuse_qkv=*/false);
+  NpuPolicy policy;
+  auto one = CompileSchedule(PlaceGraph(g, Phase::kPrefill, &policy).value());
+  auto seven = CompileSchedule(
+      PlaceGraph(g, Phase::kPrefill, &policy, /*logits_rows=*/7).value());
+  ASSERT_TRUE(one.ok() && seven.ok());
+  auto retargeted = WithLogitsRows(one.value(), 7, &policy);
+  ASSERT_TRUE(retargeted.ok()) << retargeted.status().ToString();
+  const CompiledSchedule& r = retargeted.value();
+  EXPECT_EQ(r.body.get(), one.value().body.get());  // shared, not copied
+  EXPECT_EQ(r.logits_rows, 7);
+  EXPECT_EQ(r.Summary(), seven.value().Summary());
+  ASSERT_EQ(r.tail.size(), seven.value().tail.size());
+  for (size_t i = 0; i < r.tail.size(); ++i) {
+    EXPECT_EQ(r.tail[i].begin, seven.value().tail[i].begin);
+    EXPECT_EQ(r.tail[i].out, seven.value().tail[i].out);
+    EXPECT_EQ(r.tail[i].shape.m, seven.value().tail[i].shape.m);
+    EXPECT_EQ(r.tail[i].npu_graphs.size(),
+              seven.value().tail[i].npu_graphs.size());
+  }
+  EXPECT_FALSE(WithLogitsRows(one.value(), 0, &policy).ok());
+  EXPECT_FALSE(WithLogitsRows(one.value(), 33, &policy).ok());
 }
 
 }  // namespace

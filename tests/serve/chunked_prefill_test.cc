@@ -1,8 +1,9 @@
 // Chunked prefill: compute-mode bit-exactness of chunk-by-chunk prefill
 // against one-shot prefill (the emitted greedy stream is identical), and
-// the kHybridChunked serving policy — budget-shared hybrid iterations,
-// preempt-mid-prompt resume without re-prefilling, prefix-cache hits
-// skipping whole chunks, and composition with speculative decoding.
+// the kHybridChunked serving policy — one-pass hybrid rounds whose KV state
+// matches a decode pass plus a chunk pass, preempt-mid-prompt resume
+// without re-prefilling, prefix-cache hits skipping whole chunks,
+// composition with speculative decoding, and every registry engine.
 
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/model/kv_cache.h"
 #include "src/serve/iteration_scheduler.h"
 #include "src/serve/kv_pool.h"
+#include "src/serve/replica.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/serving_engine.h"
 #include "src/serve/serving_metrics.h"
@@ -294,6 +296,114 @@ TEST(HybridChunkedTest, ComposesWithSpeculativeDecoding) {
   EXPECT_EQ(run_once().ToJson(), m.ToJson());
 }
 
+// A fused hybrid round (chunk slot first, decode/verify slots after it, one
+// engine pass) appends exactly what the decode pass and the chunk pass of a
+// two-pass round append: every slot's cache length, every cache's held
+// blocks and the pool's used blocks match, also after the verify rows'
+// rejected drafts roll back.
+TEST(HybridChunkedTest, FusedRoundLeavesKvStateOfTwoPassRound) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  struct Side {
+    std::unique_ptr<core::Platform> platform;
+    std::unique_ptr<core::EngineBase> engine;
+    std::unique_ptr<KvBlockPool> pool;
+    std::vector<std::unique_ptr<KvCache>> caches;  // [chunk, decode...]
+  };
+  constexpr int64_t kVerifyRows = 3;
+  auto make_side = [&] {
+    Side side;
+    side.platform = std::make_unique<core::Platform>(
+        core::PlatformOptionsFor(kEngine));
+    side.engine = core::CreateEngine(kEngine, side.platform.get(), &weights);
+    side.pool = std::make_unique<KvBlockPool>(
+        cfg, /*block_tokens=*/16, /*num_blocks=*/64, ExecutionMode::kSimulate);
+    // A prompt mid-prefill (20 of its tokens committed) and three decoding
+    // sessions at different lengths.
+    for (const int64_t committed : {20, 33, 47, 64}) {
+      side.caches.push_back(
+          std::make_unique<KvCache>(side.pool->MakeCache(256)));
+      side.engine->Execute(Batch::Deferred(
+          Phase::kPrefill, {side.caches.back().get()}, committed, cfg.hidden));
+    }
+    return side;
+  };
+  auto decode_caches = [](const Side& side) {
+    std::vector<KvCache*> out;
+    for (size_t i = 1; i < side.caches.size(); ++i) {
+      out.push_back(side.caches[i].get());
+    }
+    return out;
+  };
+
+  Side fused = make_side();
+  Side two_pass = make_side();
+  const int64_t chunk_rows = 32 - 3 * kVerifyRows;
+  fused.engine->Execute(Batch::Hybrid(fused.caches[0].get(), chunk_rows,
+                                      decode_caches(fused), kVerifyRows,
+                                      cfg.hidden));
+  two_pass.engine->Execute(Batch::Deferred(
+      Phase::kDecode, decode_caches(two_pass), kVerifyRows, cfg.hidden));
+  two_pass.engine->Execute(Batch::Deferred(
+      Phase::kPrefill, {two_pass.caches[0].get()}, chunk_rows, cfg.hidden));
+
+  auto expect_same = [&](const char* when) {
+    for (size_t i = 0; i < fused.caches.size(); ++i) {
+      EXPECT_EQ(fused.caches[i]->length(), two_pass.caches[i]->length())
+          << when << " slot " << i;
+      EXPECT_EQ(fused.caches[i]->held_blocks(),
+                two_pass.caches[i]->held_blocks())
+          << when << " slot " << i;
+    }
+    EXPECT_EQ(fused.pool->used_blocks(), two_pass.pool->used_blocks())
+        << when;
+  };
+  EXPECT_EQ(fused.caches[0]->length(), 20 + chunk_rows);
+  expect_same("after the round");
+  // The verify epilogue: each session keeps a different accepted prefix.
+  for (Side* side : {&fused, &two_pass}) {
+    for (size_t i = 1; i < side->caches.size(); ++i) {
+      KvCache& cache = *side->caches[i];
+      cache.RollbackTo(cache.length() - static_cast<int64_t>(i) + 1);
+    }
+  }
+  expect_same("after rollback");
+}
+
+// Every registry engine serves a mixed kHybridChunked trace — speculative
+// verify rows riding fused prefill passes, and a decode-less prompt that
+// completes at its last chunk — to completion. The Chunked and MLLM-NPU
+// engines run a fused pass as is, since it fits one of their chunks.
+TEST(HybridChunkedTest, ServesMixedTraceOnEveryEngine) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  std::vector<Request> reqs;
+  for (int i = 0; i < 6; ++i) {
+    const int prompt = i % 3 == 2 ? 150 : 24 + 8 * i;
+    reqs.push_back(Request::Chat(i, i * 2e3, prompt, i == 5 ? 0 : 6 + i));
+  }
+  for (const std::string& name : core::RunnableEngineNames()) {
+    ReplicaOptions ropts;
+    ropts.platform = core::PlatformOptionsFor(name);
+    ropts.engine = name;
+    ropts.scheduler.iteration = IterationPolicy::kHybridChunked;
+    ropts.scheduler.prefill_chunk_tokens = 64;
+    ropts.scheduler.max_decode_batch = 4;
+    ropts.scheduler.speculative_window = 2;
+    auto replica = Replica::Create(ropts, &weights);
+    ASSERT_TRUE(replica.ok()) << name;
+    const ServingMetrics m = (*replica)->Serve(RequestQueue(reqs));
+    ASSERT_EQ(m.requests.size(), reqs.size()) << name;
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      EXPECT_EQ(m.requests[i].decoded_tokens, reqs[i].decode_len) << name;
+      EXPECT_GT(m.requests[i].completion, 0) << name;
+    }
+    EXPECT_GT(m.hybrid_iterations, 0) << name;
+  }
+}
+
 // The headline scheduling property: under mixed long-prompt/short-decode
 // traffic, hybrid chunking bounds the decode stall behind any prefill to
 // one chunk, so the TPOT tail beats prefill-first on the same trace.
@@ -332,15 +442,9 @@ TEST(HybridChunkedTest, ValidatedRejectsBadChunkOptions) {
   bad_chunk.prefill_chunk_tokens = 0;
   EXPECT_FALSE(SchedulerOptions::Validated(bad_chunk).ok());
 
-  SchedulerOptions bad_budget;
-  bad_budget.iteration = IterationPolicy::kHybridChunked;
-  bad_budget.iteration_token_budget = -1;
-  EXPECT_FALSE(SchedulerOptions::Validated(bad_budget).ok());
-
   SchedulerOptions ok;
   ok.iteration = IterationPolicy::kHybridChunked;
   ok.prefill_chunk_tokens = 64;
-  ok.iteration_token_budget = 96;
   EXPECT_TRUE(SchedulerOptions::Validated(ok).ok());
 }
 

@@ -183,9 +183,10 @@ void PrintAgenticTasksComparison(report::BenchReport& report) {
                      benchx::LowerIsBetter("ms"));
   }
   benchx::EmitTable(report, "agentic_tasks", table);
-  // Host memory the simulator keeps per kernel (last run, stage_aware): a
-  // deterministic layout figure, gated exactly so the history cannot grow
-  // back to a fat per-kernel struct unnoticed.
+  // Host memory the simulator retains per kernel run (last run,
+  // stage_aware): bounded stores divided by a run's kernel count, a
+  // deterministic figure gated exactly so a per-kernel record cannot come
+  // back unnoticed.
   report.AddMetric("agentic_tasks.sim_history_bytes_per_kernel",
                    history_bytes_per_kernel,
                    benchx::LowerIsBetter("B", /*tolerance=*/0));

@@ -120,6 +120,9 @@ int main(int argc, char** argv) {
   const ModelWeights weights = ModelWeights::Create(cfg, mode);
 
   core::Platform platform(core::PlatformOptionsFor(engine_name));
+  if (!trace_path.empty()) {
+    platform.soc().RecordTimeline();  // the trace exports every kernel
+  }
   core::EngineOptions opts;
   opts.fast_sync = fast_sync;
   std::unique_ptr<core::EngineBase> engine;

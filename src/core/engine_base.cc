@@ -83,10 +83,7 @@ void EngineBase::AcquireWorkspace() {
   }
 }
 
-void EngineBase::ResetSession() {
-  kv_cache_->Reset();
-  synced_kernels_.clear();
-}
+void EngineBase::ResetSession() { kv_cache_->Reset(); }
 
 void EngineBase::PregenerateNpuGraphs(const std::vector<int64_t>& seq_lens,
                                       int64_t row_align) {
@@ -131,9 +128,14 @@ void EngineBase::PregenerateNpuGraphs(const std::vector<int64_t>& seq_lens,
   }
 }
 
+void EngineBase::BeginPassSync() {
+  synced_base_ = platform_->soc().kernel_count();
+  synced_kernels_.clear();
+}
+
 bool EngineBase::MarkSynced(sim::KernelHandle kernel) {
-  HCHECK(kernel >= 0);
-  const size_t bit = static_cast<size_t>(kernel);
+  HCHECK_MSG(kernel >= synced_base_, "kernel submitted before this pass");
+  const size_t bit = static_cast<size_t>(kernel - synced_base_);
   if (bit >= synced_kernels_.size()) {
     synced_kernels_.resize(bit + 1);
   }
@@ -164,12 +166,10 @@ void EngineBase::EnsureVisible(Value& v, hal::Device& consumer) {
 void EngineBase::EnsureHost(Value& v) {
   std::vector<sim::KernelHandle> to_wait;
   for (auto& [dev, kernel] : v.deps) {
+    // A kernel synced before already moved the host clock past its
+    // completion, and the clock only moves forward.
     if (MarkSynced(kernel)) {
       to_wait.push_back(kernel);
-    } else {
-      // Already synced elsewhere; ensure the host clock is past it.
-      host_now_ =
-          std::max(host_now_, platform_->soc().CompletionTime(kernel));
     }
   }
   host_now_ = platform_->sync().WaitKernels(platform_->soc(), to_wait,

@@ -202,7 +202,7 @@ class EngineBase : public graph::PlacementPolicy {
   PhaseStats Prefill(const tensor::Tensor& prompt);
   PhaseStats DecodeStep(const tensor::Tensor& token);
 
-  // Clears the KV cache and per-session state (clocks keep advancing).
+  // Clears the KV cache (clocks keep advancing).
   void ResetSession();
 
   // Convenience driver: prefill `prompt_len` synthetic tokens then decode
@@ -218,6 +218,10 @@ class EngineBase : public graph::PlacementPolicy {
   // assert caches rebuild exactly once per epoch bump). A new logits-row
   // count over a cached body only re-plans the LM head and is not counted.
   int schedule_compiles() const { return schedule_compiles_; }
+  // Bytes the host-sync bookkeeping holds (bounded by one pass's kernels).
+  size_t synced_kernel_bytes() const {
+    return synced_kernels_.capacity() / 8;
+  }
   int replan_events() const { return replan_events_; }
   const model::ModelConfig& model_config() const {
     return weights_->config();
@@ -333,7 +337,10 @@ class EngineBase : public graph::PlacementPolicy {
   std::unique_ptr<model::KvCache> kv_cache_;
   MicroSeconds host_now_ = 0;
   MicroSeconds graph_gen_accum_ = 0;  // charged online graph time this phase
-  // Bit k is set once the host has waited for kernel k this session.
+  // Bit k is set once the host has waited for kernel synced_base_ + k in
+  // this pass. Values live for one pass, so no earlier kernel is asked
+  // about and the bits never outgrow one pass's kernels.
+  sim::KernelHandle synced_base_ = 0;
   std::vector<bool> synced_kernels_;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
@@ -342,7 +349,9 @@ class EngineBase : public graph::PlacementPolicy {
   friend class ScheduleExecutor;  // replays schedules via the machinery above
 
   void AcquireWorkspace();
-  // Marks `kernel` synced; true if it was not synced before.
+  // Starts a pass's sync bookkeeping: kernels from here on are unsynced.
+  void BeginPassSync();
+  // Marks `kernel` synced; true if it was not synced before this pass.
   bool MarkSynced(sim::KernelHandle kernel);
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,

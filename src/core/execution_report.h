@@ -1,7 +1,8 @@
 // Post-run execution analysis: per-unit utilization and per-operator time
-// breakdown, aggregated from the simulator's kernel timeline. The practical
-// companion to the Chrome-trace export — answers "where did the time go"
-// (FFN-down share, sync gaps, GPU vs NPU balance) in one table.
+// breakdown, aggregated from the simulator's retirement ledger (or, for a
+// window that cuts through a kernel, its recorded kernel timeline). The
+// practical companion to the Chrome-trace export — answers "where did the
+// time go" (FFN-down share, sync gaps, GPU vs NPU balance) in one table.
 
 #ifndef SRC_CORE_EXECUTION_REPORT_H_
 #define SRC_CORE_EXECUTION_REPORT_H_
@@ -38,11 +39,22 @@ struct ExecutionReport {
 
   MicroSeconds window() const { return window_end - window_start; }
 
-  // Builds a report over kernels overlapping [window_start, window_end];
-  // keeps the `top_n` heaviest op groups.
+  // Where Build reads the kernels from.
+  enum class Source {
+    kAuto,      // the ledger when it can answer the window, else the timeline
+    kLedger,    // the retirement ledger (HCHECKs the window is quiesced)
+    kTimeline,  // the recorded kernel timeline (HCHECKs it is recorded)
+  };
+
+  // Builds a report over finished kernels overlapping [window_start,
+  // window_end]; keeps the `top_n` heaviest op groups. A window whose start
+  // and end each follow a `DrainAll` comes from the ledger. A window that
+  // cuts through a kernel is prorated from the timeline, which must have
+  // been recorded (`sim::SocSimulator::RecordTimeline`).
   static ExecutionReport Build(const Platform& platform,
                                MicroSeconds window_start,
-                               MicroSeconds window_end, int top_n = 12);
+                               MicroSeconds window_end, int top_n = 12,
+                               Source source = Source::kAuto);
 
   // ASCII rendering (unit table + top-ops table).
   std::string Render() const;

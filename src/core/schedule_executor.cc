@@ -86,6 +86,7 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
   EngineBase& e = *e_;
   const MicroSeconds start = e.host_now_;
   e.graph_gen_accum_ = 0;
+  e.BeginPassSync();
 
   std::vector<Value> slots(sched.num_slots);
   slots[sched.input_slot].tensor = batch.input;

@@ -16,7 +16,9 @@ constexpr double kTimeEpsilon = 1e-6;
 }  // namespace
 
 SocSimulator::SocSimulator(const MemoryConfig& mem_config)
-    : memory_(mem_config) {}
+    : memory_(mem_config) {
+  ledger_.emplace_back();
+}
 
 UnitId SocSimulator::AddUnit(const UnitSpec& spec) {
   HCHECK(spec.bandwidth_cap_bytes_per_us > 0);
@@ -39,7 +41,7 @@ const UnitSpec& SocSimulator::unit_spec(UnitId unit) const {
 }
 
 void SocSimulator::EnableThermal(const ThermalConfig& config) {
-  HCHECK_MSG(log_size_ == 0,
+  HCHECK_MSG(submitted_ == 0,
              "EnableThermal must be called before any kernel is submitted");
   if (!config.enabled) {
     thermal_.reset();
@@ -95,17 +97,21 @@ KernelHandle SocSimulator::Submit(UnitId unit, KernelDesc desc,
              "kernel submitted in the resolved past");
   HCHECK(desc.compute_time >= 0 && desc.memory_bytes >= 0 &&
          desc.launch_overhead >= 0);
-  const KernelHandle handle = log_size_;
-  if ((handle & (kLogChunkSize - 1)) == 0) {
-    log_chunks_.push_back(
-        std::make_unique<LogRecord[]>(static_cast<size_t>(kLogChunkSize)));
+  const KernelHandle handle = submitted_++;
+  const uint32_t label = InternLabel(std::move(desc.label));
+  if (timeline_) {
+    if ((handle & (kLogChunkSize - 1)) == 0) {
+      log_chunks_.push_back(
+          std::make_unique<LogRecord[]>(static_cast<size_t>(kLogChunkSize)));
+    }
+    LogRecord& r = record(handle);
+    r.memory_bytes = desc.memory_bytes;
+    r.flops = desc.flops;
+    r.label = label;
+    r.unit = static_cast<int16_t>(unit);
+  } else if (recent_.size() < static_cast<size_t>(kRecentRetirements)) {
+    recent_.emplace_back();
   }
-  ++log_size_;
-  LogRecord& r = record(handle);
-  r.memory_bytes = desc.memory_bytes;
-  r.flops = desc.flops;
-  r.label = InternLabel(std::move(desc.label));
-  r.unit = static_cast<int16_t>(unit);
 
   QueuedKernel queued;
   queued.handle = handle;
@@ -113,6 +119,10 @@ KernelHandle SocSimulator::Submit(UnitId unit, KernelDesc desc,
   queued.compute_time = desc.compute_time;
   queued.launch_overhead = desc.launch_overhead;
   queued.power_scale = desc.power_scale;
+  queued.memory_bytes = desc.memory_bytes;
+  queued.flops = desc.flops;
+  queued.label = label;
+  queued.keep_times = desc.keep_times;
   // The device executes commands in arrival-time order: a submission with an
   // earlier timestamp (e.g. the control plane enqueueing ahead of a
   // pre-scheduled frame) runs first, stable for equal times.
@@ -136,36 +146,92 @@ uint32_t SocSimulator::InternLabel(std::string label) {
   return it->second;
 }
 
+void SocSimulator::RecordTimeline() {
+  HCHECK_MSG(submitted_ == 0,
+             "RecordTimeline must be called before any kernel is submitted");
+  timeline_ = true;
+}
+
 size_t SocSimulator::history_bytes() const {
-  return static_cast<size_t>(log_size_) * kLogRecordBytes + label_bytes_;
+  size_t bytes = label_bytes_ + recent_.size() * sizeof(RetiredTimes) +
+                 kept_.size() * sizeof(RetiredTimes);
+  for (const LedgerSegment& seg : ledger_) {
+    bytes += seg.units.size() * sizeof(RetiredTotals);
+    for (const std::vector<RetiredTotals>& cells : seg.cells) {
+      bytes += cells.size() * sizeof(RetiredTotals);
+    }
+  }
+  if (timeline_) {
+    bytes += static_cast<size_t>(submitted_) * kLogRecordBytes;
+  }
+  return bytes;
 }
 
 SocSimulator::LogRecord& SocSimulator::record(KernelHandle k) {
-  HCHECK(k >= 0 && k < log_size_);
+  HCHECK(timeline_ && k >= 0 && k < submitted_);
   return log_chunks_[static_cast<size_t>(k >> kLogChunkShift)]
                     [static_cast<size_t>(k & (kLogChunkSize - 1))];
 }
 
 const SocSimulator::LogRecord& SocSimulator::record(KernelHandle k) const {
-  HCHECK(k >= 0 && k < log_size_);
+  HCHECK(timeline_ && k >= 0 && k < submitted_);
   return log_chunks_[static_cast<size_t>(k >> kLogChunkShift)]
                     [static_cast<size_t>(k & (kLogChunkSize - 1))];
 }
 
+SocSimulator::KernelTimes SocSimulator::Lookup(KernelHandle k) const {
+  HCHECK_MSG(k >= 0 && k < submitted_, "unknown kernel handle");
+  if (timeline_) {
+    const LogRecord& r = record(k);
+    return {r.state, r.start, r.end};
+  }
+  const bool recent = k >= submitted_ - kRecentRetirements;
+  if (recent) {
+    const RetiredTimes& r =
+        recent_[static_cast<size_t>(k & (kRecentRetirements - 1))];
+    if (r.handle == k) {
+      return {KernelState::kFinished, r.start, r.end};
+    }
+  } else if (const auto it = kept_.find(k); it != kept_.end()) {
+    return {KernelState::kFinished, it->second.start, it->second.end};
+  }
+  for (const Unit& u : units_) {
+    if (u.running.handle == k) {
+      return {KernelState::kRunning, u.running.start, 0};
+    }
+  }
+  // A recent handle not retired and not running is queued; an older one
+  // must be found in a queue, or it retired out of reach.
+  bool queued = recent;
+  for (size_t i = 0; !queued && i < units_.size(); ++i) {
+    for (const QueuedKernel& q : units_[i].queue) {
+      if (q.handle == k) {
+        queued = true;
+        break;
+      }
+    }
+  }
+  HCHECK_MSG(queued,
+             "kernel retired too long ago to query: call "
+             "SocSimulator::RecordTimeline() before the first Submit, or "
+             "submit it with KernelDesc::keep_times");
+  return {KernelState::kPending, 0, 0};
+}
+
 bool SocSimulator::IsFinished(KernelHandle k) const {
-  return record(k).state == KernelState::kFinished;
+  return Lookup(k).state == KernelState::kFinished;
 }
 
 MicroSeconds SocSimulator::CompletionTime(KernelHandle k) const {
-  const LogRecord& r = record(k);
-  HCHECK_MSG(r.state == KernelState::kFinished, "kernel not finished");
-  return r.end;
+  const KernelTimes t = Lookup(k);
+  HCHECK_MSG(t.state == KernelState::kFinished, "kernel not finished");
+  return t.end;
 }
 
 MicroSeconds SocSimulator::StartTime(KernelHandle k) const {
-  const LogRecord& r = record(k);
-  HCHECK_MSG(r.state != KernelState::kPending, "kernel not started");
-  return r.start;
+  const KernelTimes t = Lookup(k);
+  HCHECK_MSG(t.state != KernelState::kPending, "kernel not started");
+  return t.start;
 }
 
 bool SocSimulator::UnitHasWork(UnitId unit) const {
@@ -185,20 +251,27 @@ void SocSimulator::StartEligibleKernels() {
       if (queued.submit_time > now_ + kTimeEpsilon) {
         break;
       }
-      LogRecord& r = record(queued.handle);
-      r.state = KernelState::kRunning;
-      r.start = now_;
+      if (timeline_) {
+        LogRecord& r = record(queued.handle);
+        r.state = KernelState::kRunning;
+        r.start = now_;
+      }
       RunningKernel& run = unit.running;
       run.handle = queued.handle;
+      run.start = now_;
       run.power_scale = queued.power_scale;
+      run.memory_bytes = queued.memory_bytes;
+      run.flops = queued.flops;
+      run.label = queued.label;
+      run.keep_times = queued.keep_times;
       MicroSeconds work_begin = now_ + queued.launch_overhead;
       run.compute_end = work_begin + queued.compute_time;
-      if (r.memory_bytes > 0) {
+      if (run.memory_bytes > 0) {
         // The stream opens immediately; the launch overhead is folded into
         // the compute deadline (negligible skew at µs scale, avoids a
         // two-phase kernel state machine).
         run.stream = memory_.OpenStream(unit.spec.bandwidth_cap_bytes_per_us,
-                                        r.memory_bytes);
+                                        run.memory_bytes);
         run.stream_done = false;
       } else {
         run.stream = -1;
@@ -209,8 +282,57 @@ void SocSimulator::StartEligibleKernels() {
   }
 }
 
+void SocSimulator::Retire(UnitId unit_id) {
+  Unit& unit = units_[static_cast<size_t>(unit_id)];
+  const RunningKernel& run = unit.running;
+  const MicroSeconds busy = now_ - run.start;
+  unit.busy_time += busy;
+  unit.last_completion = now_;
+  power_.AddActive(unit.power_index, busy * run.power_scale);
+  if (run.handle == watched_) {
+    watched_end_ = now_;
+  }
+
+  LedgerSegment& seg = ledger_.back();
+  if (busy > 0) {
+    const size_t u = static_cast<size_t>(unit_id);
+    if (seg.cells.size() <= u) {
+      seg.units.resize(u + 1);
+      seg.cells.resize(u + 1);
+    }
+    if (seg.cells[u].size() <= run.label) {
+      seg.cells[u].resize(labels_.size());
+    }
+    const RetiredTotals kernel{busy, 1, run.memory_bytes, run.flops};
+    AddTotals(kernel, &seg.units[u]);
+    AddTotals(kernel, &seg.cells[u][run.label]);
+    seg.first_start = std::min(seg.first_start, run.start);
+    last_retire_end_ = now_;
+  }
+
+  const RetiredTimes times{run.handle, run.start, now_};
+  if (timeline_) {
+    LogRecord& r = record(run.handle);
+    r.state = KernelState::kFinished;
+    r.end = now_;
+  } else {
+    // Entries of handles that have left the recent window are overwritten
+    // by newer ones; a late retirement of such a handle must not clobber
+    // its newer slot-mate.
+    if (run.handle >= submitted_ - kRecentRetirements) {
+      recent_[static_cast<size_t>(run.handle & (kRecentRetirements - 1))] =
+          times;
+    }
+    if (run.keep_times) {
+      kept_.emplace(run.handle, times);
+    }
+  }
+  unit.running = RunningKernel{};
+}
+
 void SocSimulator::FinishCompletedKernels() {
-  for (auto& unit : units_) {
+  for (size_t u = 0; u < units_.size(); ++u) {
+    Unit& unit = units_[u];
     RunningKernel& run = unit.running;
     if (run.handle == kInvalidKernel) {
       continue;
@@ -221,14 +343,7 @@ void SocSimulator::FinishCompletedKernels() {
       run.stream_done = true;
     }
     if (run.stream_done && run.compute_end <= now_ + kTimeEpsilon) {
-      LogRecord& r = record(run.handle);
-      r.state = KernelState::kFinished;
-      r.end = now_;
-      MicroSeconds busy = r.end - r.start;
-      unit.busy_time += busy;
-      unit.last_completion = r.end;
-      power_.AddActive(unit.power_index, busy * run.power_scale);
-      run = RunningKernel{};
+      Retire(static_cast<UnitId>(u));
     }
   }
 }
@@ -371,7 +486,7 @@ void SocSimulator::RunUntil(Done done) {
                    "stuck unit=%s kernel=%s compute_end=%.9f stream_done=%d "
                    "now=%.9f\n",
                    unit.spec.name.c_str(),
-                   labels_[record(run.handle).label]->c_str(),
+                   labels_[run.label]->c_str(),
                    run.compute_end, run.stream_done ? 1 : 0, now_);
       if (!run.stream_done) {
         std::fprintf(stderr, "  stream est=%.9f rate=%.6f\n",
@@ -383,21 +498,38 @@ void SocSimulator::RunUntil(Done done) {
   HCHECK_MSG(false, "simulator exceeded event budget (livelock?)");
 }
 
-void SocSimulator::VisitFinishedKernels(
-    const std::function<void(const std::string&, UnitId, MicroSeconds,
-                             MicroSeconds, Bytes, Flops)>& visitor) const {
-  for (KernelHandle k = 0; k < log_size_; ++k) {
-    const LogRecord& r = record(k);
-    if (r.state == KernelState::kFinished) {
-      visitor(*labels_[r.label], r.unit, r.start, r.end, r.memory_bytes,
-              r.flops);
-    }
+MicroSeconds SocSimulator::WaitForKernel(KernelHandle k) {
+  const KernelTimes t = Lookup(k);
+  if (t.state == KernelState::kFinished) {
+    return t.end;
   }
+  // Retire() stamps the end of the watched kernel, so the wait never has to
+  // find it again (it may leave the recent window while it runs).
+  watched_ = k;
+  watched_end_ = -1;
+  RunUntil([&] { return watched_end_ >= 0; });
+  watched_ = kInvalidKernel;
+  return watched_end_;
 }
 
-MicroSeconds SocSimulator::WaitForKernel(KernelHandle k) {
-  RunUntil([&] { return IsFinished(k); });
-  return CompletionTime(k);
+int SocSimulator::LedgerSegmentFor(MicroSeconds start,
+                                   MicroSeconds end) const {
+  if (last_retire_end_ > end + kTimeEpsilon) {
+    return -1;  // a kernel retired after the window closed
+  }
+  if (last_retire_end_ <= start) {
+    return static_cast<int>(ledger_.size());  // nothing retired inside
+  }
+  // The newest segment opened at or before `start`; kernels of later
+  // segments started after it.
+  for (size_t i = ledger_.size(); i-- > 0;) {
+    if (ledger_[i].begin <= start + kTimeEpsilon) {
+      return ledger_[i].first_start + kTimeEpsilon >= start
+                 ? static_cast<int>(i)
+                 : -1;
+    }
+  }
+  return -1;
 }
 
 MicroSeconds SocSimulator::WaitForUnitIdle(UnitId unit) {
@@ -416,6 +548,37 @@ MicroSeconds SocSimulator::DrainAll() {
     }
     return true;
   });
+  // A quiesce point: open a new ledger segment so a report window starting
+  // here sums only what runs after it.
+  if (ledger_.back().first_start !=
+      std::numeric_limits<MicroSeconds>::infinity()) {
+    LedgerSegment seg;
+    seg.begin = now_;
+    ledger_.push_back(std::move(seg));
+    if (ledger_.size() > kLedgerSegments) {
+      // Fold the oldest segment into the next, which then begins where it
+      // did.
+      LedgerSegment& next = ledger_[1];
+      const LedgerSegment& oldest = ledger_[0];
+      next.begin = oldest.begin;
+      next.first_start = std::min(next.first_start, oldest.first_start);
+      if (next.cells.size() < oldest.cells.size()) {
+        next.units.resize(oldest.units.size());
+        next.cells.resize(oldest.cells.size());
+      }
+      for (size_t u = 0; u < oldest.cells.size(); ++u) {
+        AddTotals(oldest.units[u], &next.units[u]);
+        std::vector<RetiredTotals>& into = next.cells[u];
+        if (into.size() < oldest.cells[u].size()) {
+          into.resize(oldest.cells[u].size());
+        }
+        for (size_t label = 0; label < oldest.cells[u].size(); ++label) {
+          AddTotals(oldest.cells[u][label], &into[label]);
+        }
+      }
+      ledger_.pop_front();
+    }
+  }
   return now_;
 }
 

@@ -24,11 +24,14 @@
 // *device-state epoch* lets engines detect that cached plans / compiled
 // schedules were built against stale device performance.
 //
-// Memory: each submitted kernel leaves one fixed-size log record (times,
-// bytes, flops, unit, state, interned label id) for the whole run; the state
-// only a queued or running kernel needs lives in its unit's queue or running
-// slot and is dropped as the kernel moves on. Labels are stored once per
-// distinct string.
+// Memory: what the simulator keeps does not grow with run length. A queued
+// or running kernel lives in its unit's queue or running slot. When it
+// retires, its busy time, bytes and flops fold into a ledger of totals per
+// (label, unit), and its start/end go to a fixed-size store of recent
+// retirements that answers handle queries for the kernels callers still
+// wait on. The per-kernel timeline (one fixed-size record per kernel, for
+// trace export and kernel digests) is kept only after `RecordTimeline()`.
+// Labels are stored once per distinct string.
 
 #ifndef SRC_SIM_SOC_SIMULATOR_H_
 #define SRC_SIM_SOC_SIMULATOR_H_
@@ -36,7 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -79,7 +82,26 @@ struct KernelDesc {
   // Arithmetic work the kernel performs (the *executed* count — padded on
   // the NPU). Reporting only: per-op TFLOPS in the execution report.
   Flops flops = 0;
+  // Keeps this kernel's start/end queryable for the simulator's lifetime
+  // even without the timeline (one small entry per flagged kernel), for
+  // callers that read a completion long after it retired.
+  bool keep_times = false;
 };
+
+// Totals of retired kernels: busy time, kernel count, DRAM bytes, flops.
+struct RetiredTotals {
+  MicroSeconds busy = 0;
+  int64_t count = 0;
+  Bytes bytes = 0;
+  Flops flops = 0;
+};
+
+inline void AddTotals(const RetiredTotals& from, RetiredTotals* into) {
+  into->busy += from.busy;
+  into->count += from.count;
+  into->bytes += from.bytes;
+  into->flops += from.flops;
+}
 
 class SocSimulator {
  public:
@@ -90,6 +112,13 @@ class SocSimulator {
 
   // Registers an execution unit; returns its id.
   UnitId AddUnit(const UnitSpec& spec);
+
+  // Keeps the per-kernel timeline for the whole run: `VisitFinishedKernels`
+  // (trace export, kernel digests) and reports over windows that cut
+  // through a kernel need it, and every handle stays queryable. Must be
+  // called before the first Submit.
+  void RecordTimeline();
+  bool records_timeline() const { return timeline_; }
 
   // Enqueues `desc` on `unit`, visible to the device no earlier than
   // `submit_time` (which must be >= the currently resolved time).
@@ -112,6 +141,11 @@ class SocSimulator {
   // Returns the resolved time (>= t up to the event-loop epsilon).
   MicroSeconds AdvanceIdleTo(MicroSeconds t);
 
+  // Handle queries. They answer for every kernel still in flight, for the
+  // last `kRecentRetirements` handles submitted, for kernels submitted with
+  // `keep_times`, and for every kernel when the timeline is recorded. A
+  // query for an older retired kernel HCHECK-fails.
+
   // True once `k` has been resolved as finished.
   bool IsFinished(KernelHandle k) const;
 
@@ -129,15 +163,30 @@ class SocSimulator {
   // Cumulative busy time of `unit` (only counts resolved kernels).
   MicroSeconds UnitBusyTime(UnitId unit) const;
 
-  // Visits every kernel resolved as finished, in submission order
-  // (label, unit, start, end, memory bytes, flops). Used by the trace
-  // exporter and the execution report. Labels are interned: every kernel
-  // submitted with an equal label reaches the visitor as the same
-  // `const std::string&`, stable for the simulator's lifetime, so callers
-  // can do per-label work once per distinct label, keyed on its address.
-  void VisitFinishedKernels(
-      const std::function<void(const std::string&, UnitId, MicroSeconds,
-                               MicroSeconds, Bytes, Flops)>& visitor) const;
+  // Visits every kernel resolved as finished, in submission order, as
+  // visitor(label, unit, start, end, memory bytes, flops). Needs the
+  // timeline (HCHECKs `RecordTimeline()` was called). Labels are interned:
+  // every kernel submitted with an equal label reaches the visitor as the
+  // same `const std::string&`, stable for the simulator's lifetime, so
+  // callers can do per-label work once per distinct label, keyed on its
+  // address.
+  template <typename Visitor>
+  void VisitFinishedKernels(Visitor&& visitor) const;
+
+  // Visits the retirement ledger's totals over [start, end] as
+  // visitor(label, unit, const RetiredTotals&), one call per (label, unit)
+  // with a kernel in the window, labels interned as above, and sets
+  // `*unit_totals` (when given) to each unit's totals, summed in retirement
+  // order. Kernels of zero duration are not counted. Answers only when
+  // every kernel that retired inside or across the window ran wholly inside
+  // it, which holds for a window whose start and end each follow a
+  // `DrainAll`; otherwise visits nothing and returns false (the window then
+  // needs the timeline).
+  template <typename Visitor>
+  bool VisitRetiredTotals(MicroSeconds start, MicroSeconds end,
+                          Visitor&& visitor,
+                          std::vector<RetiredTotals>* unit_totals =
+                              nullptr) const;
 
   // --- dynamic conditions --------------------------------------------------
 
@@ -180,12 +229,14 @@ class SocSimulator {
   MicroSeconds NextConditionEventTime() const;
 
   // Number of kernels submitted so far (handles are 0 .. kernel_count()-1).
-  int64_t kernel_count() const { return log_size_; }
+  int64_t kernel_count() const { return submitted_; }
 
-  // Bytes the simulator keeps for the whole run: one log record per
-  // submitted kernel plus the interned label table (each distinct label's
-  // string object and characters). In-flight state is not counted; it is
-  // bounded by the queued and running kernels.
+  // Bytes the simulator retains about kernels it has run: the store of
+  // recent retirements, the ledger cells, `keep_times` entries, the
+  // interned label table (each distinct label's string object and
+  // characters) and, only when the timeline is recorded, one log record per
+  // submitted kernel. In-flight state is not counted; it is bounded by the
+  // queued and running kernels.
   size_t history_bytes() const;
 
   MicroSeconds now() const { return now_; }
@@ -200,9 +251,9 @@ class SocSimulator {
  private:
   enum class KernelState : uint8_t { kPending, kRunning, kFinished };
 
-  // What the simulator keeps of a kernel for the whole run: its timeline
-  // entry, with the label interned. Written at Submit, stamped with the
-  // start and end times as the kernel runs.
+  // One kernel's timeline entry, with the label interned. Kept only while
+  // the timeline is recorded: written at Submit, stamped with the start and
+  // end times as the kernel runs.
   struct LogRecord {
     MicroSeconds start = 0;  // valid once running
     MicroSeconds end = 0;    // valid once finished
@@ -213,12 +264,28 @@ class SocSimulator {
     KernelState state = KernelState::kPending;
   };
 
+  // Start and end of a retired kernel, in the recent-retirement store or
+  // the `keep_times` table.
+  struct RetiredTimes {
+    KernelHandle handle = kInvalidKernel;
+    MicroSeconds start = 0;
+    MicroSeconds end = 0;
+  };
+
  public:
-  // Size of one kernel's log record; the per-kernel cost of the run history.
+  // Size of one kernel's timeline record.
   static constexpr size_t kLogRecordBytes = sizeof(LogRecord);
+  // Handle window the recent-retirement store covers: a retired kernel is
+  // queryable while fewer than this many kernels were submitted after it.
+  // Far above the kernels of one engine pass, the span a host wait reaches
+  // back over.
+  static constexpr int64_t kRecentRetirements = int64_t{1} << 12;
+  // Ledger segments kept; older ones fold into the oldest kept.
+  static constexpr size_t kLedgerSegments = 8;
 
  private:
-  // The log grows in fixed-size chunks, so appending never moves a record.
+  // The timeline grows in fixed-size chunks, so appending never moves a
+  // record.
   static constexpr int kLogChunkShift = 12;
   static constexpr int64_t kLogChunkSize = int64_t{1} << kLogChunkShift;
 
@@ -229,15 +296,24 @@ class SocSimulator {
     MicroSeconds compute_time = 0;
     MicroSeconds launch_overhead = 0;
     double power_scale = 1.0;
+    Bytes memory_bytes = 0;
+    Flops flops = 0;
+    uint32_t label = 0;
+    bool keep_times = false;
   };
 
-  // In-flight state of a unit's running kernel; dropped when it finishes.
+  // In-flight state of a unit's running kernel; dropped when it retires.
   struct RunningKernel {
     KernelHandle handle = kInvalidKernel;  // kInvalidKernel when idle
+    MicroSeconds start = 0;
     MicroSeconds compute_end = 0;
     double power_scale = 1.0;
+    Bytes memory_bytes = 0;
+    Flops flops = 0;
+    uint32_t label = 0;
     StreamId stream = -1;  // -1 when no memory traffic / closed
     bool stream_done = false;
+    bool keep_times = false;
   };
 
   struct Unit {
@@ -259,12 +335,43 @@ class SocSimulator {
     }
   };
 
-  // The log record of `k` (HCHECKs that `k` was handed out by Submit).
+  // Retirement totals since one quiesce point (a DrainAll that found work
+  // retired since the previous one), up to the next.
+  struct LedgerSegment {
+    MicroSeconds begin = 0;
+    // Earliest start among the kernels folded in (+inf while none is);
+    // every one of them started at or after `begin`.
+    MicroSeconds first_start = std::numeric_limits<MicroSeconds>::infinity();
+    std::vector<RetiredTotals> units;               // [unit]
+    std::vector<std::vector<RetiredTotals>> cells;  // [unit][label]
+  };
+
+  // What the simulator can still tell about one handle.
+  struct KernelTimes {
+    KernelState state = KernelState::kPending;
+    MicroSeconds start = 0;  // valid once running
+    MicroSeconds end = 0;    // valid once finished
+  };
+
+  // The state and times of `k`; HCHECKs that `k` was handed out by Submit
+  // and is still answerable.
+  KernelTimes Lookup(KernelHandle k) const;
+
+  // The timeline record of `k` (timeline recorded, `k` submitted).
   LogRecord& record(KernelHandle k);
   const LogRecord& record(KernelHandle k) const;
 
   // Interns `label`, returning its index into labels_.
   uint32_t InternLabel(std::string label);
+
+  // Index of the oldest ledger segment a report over [start, end] sums
+  // from; -1 when the ledger cannot answer it, ledger_.size() when the
+  // window holds no retired kernel.
+  int LedgerSegmentFor(MicroSeconds start, MicroSeconds end) const;
+
+  // Folds the kernel running on `unit`, finishing now, into the ledger, the
+  // recent-retirement store and (when recorded) the timeline.
+  void Retire(UnitId unit);
 
   // Moves queue heads whose submit time has arrived onto idle units.
   void StartEligibleKernels();
@@ -296,10 +403,26 @@ class SocSimulator {
   PowerMeter power_;
   MicroSeconds now_ = 0;
   std::vector<Unit> units_;
+  int64_t submitted_ = 0;
 
-  // Kernel log: one record per submitted kernel, indexed by handle.
+  // Retirement ledger, oldest segment first; never empty. Segment 0 begins
+  // at time 0.
+  std::deque<LedgerSegment> ledger_;
+  // End of the last kernel of nonzero duration to retire.
+  MicroSeconds last_retire_end_ = 0;
+  // Recent retirements, entry h % kRecentRetirements for handle h (timeline
+  // off only; grows to kRecentRetirements entries).
+  std::vector<RetiredTimes> recent_;
+  // Retired `keep_times` kernels older than the recent store reaches.
+  std::unordered_map<KernelHandle, RetiredTimes> kept_;
+  // Handle WaitForKernel is waiting on, and its end once it retires (< 0
+  // before).
+  KernelHandle watched_ = kInvalidKernel;
+  MicroSeconds watched_end_ = -1;
+
+  // Per-kernel timeline, indexed by handle (only when timeline_ is set).
+  bool timeline_ = false;
   std::vector<std::unique_ptr<LogRecord[]>> log_chunks_;
-  int64_t log_size_ = 0;
   // Interned labels: each distinct label is stored once, as a key of
   // label_ids_ (node-based, so the strings never move); labels_ maps an id
   // back to it.
@@ -319,6 +442,57 @@ class SocSimulator {
   MicroSeconds idle_target_ = -1;
   bool idle_advancing_ = false;
 };
+
+template <typename Visitor>
+void SocSimulator::VisitFinishedKernels(Visitor&& visitor) const {
+  HCHECK_MSG(timeline_,
+             "the kernel timeline is not recorded: call "
+             "SocSimulator::RecordTimeline() before the first Submit");
+  for (KernelHandle k = 0; k < submitted_; ++k) {
+    const LogRecord& r = log_chunks_[static_cast<size_t>(
+        k >> kLogChunkShift)][static_cast<size_t>(k & (kLogChunkSize - 1))];
+    if (r.state == KernelState::kFinished) {
+      visitor(*labels_[r.label], static_cast<UnitId>(r.unit), r.start, r.end,
+              r.memory_bytes, r.flops);
+    }
+  }
+}
+
+template <typename Visitor>
+bool SocSimulator::VisitRetiredTotals(
+    MicroSeconds start, MicroSeconds end, Visitor&& visitor,
+    std::vector<RetiredTotals>* unit_totals) const {
+  const int first = LedgerSegmentFor(start, end);
+  if (first < 0) {
+    return false;
+  }
+  if (unit_totals != nullptr) {
+    unit_totals->assign(units_.size(), RetiredTotals{});
+    for (size_t s = static_cast<size_t>(first); s < ledger_.size(); ++s) {
+      const LedgerSegment& seg = ledger_[s];
+      for (size_t u = 0; u < seg.units.size(); ++u) {
+        AddTotals(seg.units[u], &(*unit_totals)[u]);
+      }
+    }
+  }
+  for (size_t u = 0; u < units_.size(); ++u) {
+    for (size_t label = 0; label < labels_.size(); ++label) {
+      RetiredTotals sum;
+      for (size_t s = static_cast<size_t>(first); s < ledger_.size(); ++s) {
+        const LedgerSegment& seg = ledger_[s];
+        if (u >= seg.cells.size() || label >= seg.cells[u].size()) {
+          continue;
+        }
+        AddTotals(seg.cells[u][label], &sum);
+      }
+      if (sum.count > 0) {
+        visitor(*labels_[label], static_cast<UnitId>(u),
+                static_cast<const RetiredTotals&>(sum));
+      }
+    }
+  }
+  return true;
+}
 
 }  // namespace heterollm::sim
 

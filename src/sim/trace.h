@@ -1,7 +1,9 @@
 // Chrome-trace (about://tracing / Perfetto) export of the simulated kernel
 // timeline. Each finished kernel becomes a complete event on its unit's
 // track, so GPU/NPU overlap, queue stalls and sync gaps are visible at a
-// glance — the practical way to debug a partition plan.
+// glance — the practical way to debug a partition plan. Both functions
+// need the timeline: call `SocSimulator::RecordTimeline()` before the
+// first kernel is submitted.
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_

@@ -26,6 +26,8 @@ void RenderWorkload::SubmitFrames(MicroSeconds duration) {
       desc.memory_bytes =
           20e6 * config_.frame_gpu_time_us / 16667.0 / draws;
       desc.launch_overhead = 2.0;
+      // Collect reads the frame's completion long after it retired.
+      desc.keep_times = d == draws - 1;
       // The game thread records and submits command buffers over the course
       // of the frame, so draws spread across ~70% of the period and other
       // queues' kernels interleave between them.

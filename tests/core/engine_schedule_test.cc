@@ -119,6 +119,7 @@ TEST_F(EngineScheduleTest, DecodeAchievedBandwidthInPaperRange) {
 
 TEST_F(EngineScheduleTest, TimelineHasNoIntraUnitOverlap) {
   Platform plat;
+  plat.soc().RecordTimeline();
   auto engine = CreateEngine("Hetero-tensor", &plat, &weights_);
   engine->Generate(128, 2);
   std::vector<sim::KernelRecord> records =

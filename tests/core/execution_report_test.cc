@@ -79,6 +79,7 @@ TEST_F(ExecutionReportTest, RenderContainsTables) {
 
 TEST_F(ExecutionReportTest, WindowClippingBoundsBusyTime) {
   Platform plat;
+  plat.soc().RecordTimeline();  // the window cuts through kernels
   auto engine = CreateEngine("PPL-OpenCL", &plat, &weights_);
   engine->Generate(64, 0);
   // A tiny window cannot contain more busy time than its own span.
@@ -91,6 +92,7 @@ TEST_F(ExecutionReportTest, WindowClippingBoundsBusyTime) {
 TEST_F(ExecutionReportTest, StraddlingKernelProratesBytesAndFlops) {
   Platform plat;
   sim::SocSimulator& soc = plat.soc();
+  soc.RecordTimeline();  // the half window cuts through the kernel
   const sim::UnitId gpu = plat.gpu().unit();
   // One 100 µs compute-bound kernel carrying 1 MB and 2 GFLOP.
   sim::KernelDesc desc;

@@ -97,6 +97,7 @@ void CheckPrefillAndDecodes(const std::string& engine_name,
   const Tensor tok2 = Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f);
 
   Platform platform(PlatformOptionsFor(engine_name));
+  platform.soc().RecordTimeline();  // KernelDigest walks the timeline
   auto engine = CreateEngine(engine_name, &platform, &weights);
   std::vector<MicroSeconds> latencies;
   latencies.push_back(engine->Prefill(prompt).latency);
@@ -173,6 +174,7 @@ void ExpectServingGolden(const Golden& golden, Scenario scenario) {
   const ModelWeights weights =
       ModelWeights::Create(cfg, ExecutionMode::kSimulate);
   Platform platform(PlatformOptionsFor("Hetero-tensor"));
+  platform.soc().RecordTimeline();  // KernelDigest walks the timeline
   auto engine = CreateEngine("Hetero-tensor", &platform, &weights);
   std::vector<MicroSeconds> latencies;
   scenario(*engine, cfg, latencies);

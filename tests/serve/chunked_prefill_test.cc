@@ -436,6 +436,46 @@ TEST(HybridChunkedTest, ImprovesTpotTailUnderMixedTraffic) {
   EXPECT_LT(hybrid.tpot_tail().p99, pf.tpot_tail().p99);
 }
 
+// With the timeline off, serving twice as many requests leaves what the
+// simulator retains, and the engine's host-sync bookkeeping, where the
+// shorter run left them: neither grows with run length.
+TEST(HybridChunkedTest, RetainedMemoryDoesNotGrowWithRunLength) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  struct Retained {
+    int64_t kernels = 0;
+    size_t sim_bytes = 0;
+    size_t synced_bytes = 0;
+  };
+  auto serve = [&](int count) {
+    ReplicaOptions ropts;
+    ropts.platform = core::PlatformOptionsFor(kEngine);
+    ropts.engine = kEngine;
+    ropts.scheduler.iteration = IterationPolicy::kHybridChunked;
+    ropts.scheduler.prefill_chunk_tokens = 64;
+    ropts.scheduler.max_decode_batch = 4;
+    auto replica = Replica::Create(ropts, &weights);
+    HCHECK(replica.ok());
+    std::vector<Request> reqs;
+    for (int i = 0; i < count; ++i) {
+      reqs.push_back(Request::Chat(i, i * 1e4, 96, 24));
+    }
+    const ServingMetrics m = (*replica)->Serve(RequestQueue(reqs));
+    HCHECK(m.requests.size() == reqs.size());
+    const sim::SocSimulator& soc = (*replica)->platform().soc();
+    HCHECK(!soc.records_timeline());
+    return Retained{soc.kernel_count(), soc.history_bytes(),
+                    (*replica)->engine().synced_kernel_bytes()};
+  };
+  const Retained shorter = serve(24);
+  const Retained longer = serve(48);
+  ASSERT_GT(shorter.kernels, 2 * sim::SocSimulator::kRecentRetirements);
+  ASSERT_GT(longer.kernels, shorter.kernels * 19 / 10);
+  EXPECT_EQ(longer.sim_bytes, shorter.sim_bytes);
+  EXPECT_EQ(longer.synced_bytes, shorter.synced_bytes);
+}
+
 TEST(HybridChunkedTest, ValidatedRejectsBadChunkOptions) {
   SchedulerOptions bad_chunk;
   bad_chunk.iteration = IterationPolicy::kHybridChunked;

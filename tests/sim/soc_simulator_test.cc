@@ -157,16 +157,17 @@ TEST(SocSimulatorTest, ManyKernelsStressFifo) {
   EXPECT_DOUBLE_EQ(soc.WaitForKernel(last), 1000.0);
 }
 
-// The per-kernel history is one small fixed-size record; labels live in a
+// A timeline entry is one small fixed-size record; labels live in a
 // separate interned table.
 static_assert(SocSimulator::kLogRecordBytes <= 40,
               "kernel log record grew past 40 bytes");
 
-// A kernel that leaves the in-flight state first (submitted later, on
-// another unit) and one that leaves it last both keep answering queries
-// long after they finished.
+// With the timeline recorded, a kernel that leaves the in-flight state
+// first (submitted later, on another unit) and one that leaves it last both
+// keep answering queries long after they finished.
 TEST(SocSimulatorTest, FinishedKernelsAnswerAfterLeavingFlight) {
   SocSimulator soc(NoLossConfig());
+  soc.RecordTimeline();
   UnitId gpu = soc.AddUnit(Gpu());
   UnitId npu = soc.AddUnit(Npu());
   KernelHandle slow = soc.Submit(gpu, {"slow", 100.0, 0, 0}, 0);
@@ -191,6 +192,7 @@ TEST(SocSimulatorTest, FinishedKernelsAnswerAfterLeavingFlight) {
 
 TEST(SocSimulatorTest, VisitFinishedKernelsInSubmissionOrder) {
   SocSimulator soc(NoLossConfig());
+  soc.RecordTimeline();
   UnitId gpu = soc.AddUnit(Gpu());
   UnitId npu = soc.AddUnit(Npu());
   // Completion order is b, c, a; submission order a, b, c.
@@ -211,6 +213,7 @@ TEST(SocSimulatorTest, VisitFinishedKernelsInSubmissionOrder) {
 
 TEST(SocSimulatorTest, VisitSkipsUnfinishedKernels) {
   SocSimulator soc(NoLossConfig());
+  soc.RecordTimeline();
   UnitId gpu = soc.AddUnit(Gpu());
   KernelHandle first = soc.Submit(gpu, {"first", 10.0, 0, 0}, 0);
   soc.Submit(gpu, {"second", 10.0, 0, 0}, 0);
@@ -230,6 +233,7 @@ TEST(SocSimulatorTest, VisitSkipsUnfinishedKernels) {
 // Labels past the small-string buffer, bytes and flops come back intact.
 TEST(SocSimulatorTest, LongLabelsRoundTrip) {
   SocSimulator soc(NoLossConfig());
+  soc.RecordTimeline();
   UnitId npu = soc.AddUnit(Npu());
   const std::string label = "lm_head:npu-seq256";
   ASSERT_GT(label.size(), 15u);
@@ -251,10 +255,11 @@ TEST(SocSimulatorTest, LongLabelsRoundTrip) {
 }
 
 // 10k kernels over three labels intern three strings: past the first three
-// submissions the history grows by exactly one record per kernel, and equal
-// labels reach the visitor as the same string object.
+// submissions the recorded timeline grows by exactly one record per kernel,
+// and equal labels reach the visitor as the same string object.
 TEST(SocSimulatorTest, LabelsAreInternedOncePerDistinctLabel) {
   SocSimulator soc(NoLossConfig());
+  soc.RecordTimeline();
   UnitId gpu = soc.AddUnit(Gpu());
   const std::string names[] = {"attn:L0", "ffn_down:gpu-seq1",
                                "lm_head:npu-seq256"};
@@ -286,6 +291,110 @@ TEST(SocSimulatorTest, LabelsAreInternedOncePerDistinctLabel) {
     ++visited;
   });
   EXPECT_EQ(visited, kKernels);
+}
+
+// Without the timeline, a retired kernel answers while it is among the
+// last kRecentRetirements handles; a kept kernel answers for the whole run.
+TEST(SocSimulatorTest, RecentAndKeptKernelsAnswerWithoutTimeline) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  KernelDesc kept_desc{"kept", 2.0, 0, 0};
+  kept_desc.keep_times = true;
+  const KernelHandle kept = soc.Submit(gpu, kept_desc, 0);
+  const KernelHandle edge = soc.Submit(gpu, {"edge", 1.0, 0, 0}, 0);
+  for (int64_t i = 2; i < SocSimulator::kRecentRetirements + 1; ++i) {
+    soc.Submit(gpu, {"later", 1.0, 0, 0}, 0);
+  }
+  soc.DrainAll();
+  // `edge` is the oldest handle the recent store still covers.
+  EXPECT_TRUE(soc.IsFinished(edge));
+  EXPECT_DOUBLE_EQ(soc.StartTime(edge), 2.0);
+  EXPECT_DOUBLE_EQ(soc.CompletionTime(edge), 3.0);
+  for (int i = 0; i < 3 * SocSimulator::kRecentRetirements; ++i) {
+    soc.Submit(gpu, {"later", 1.0, 0, 0}, soc.now());
+  }
+  soc.DrainAll();
+  EXPECT_TRUE(soc.IsFinished(kept));
+  EXPECT_DOUBLE_EQ(soc.StartTime(kept), 0.0);
+  EXPECT_DOUBLE_EQ(soc.CompletionTime(kept), 2.0);
+}
+
+// A kernel still queued or running answers however many kernels were
+// submitted after it, and a wait on it returns its completion even though
+// it retires outside the recent window.
+TEST(SocSimulatorTest, OldInFlightKernelsAnswerWithoutTimeline) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  UnitId npu = soc.AddUnit(Npu());
+  const KernelHandle slow = soc.Submit(gpu, {"slow", 1e5, 0, 0}, 0);
+  const KernelHandle queued = soc.Submit(gpu, {"queued", 10.0, 0, 0}, 0);
+  KernelHandle last = kInvalidKernel;
+  for (int64_t i = 0; i < 2 * SocSimulator::kRecentRetirements; ++i) {
+    last = soc.Submit(npu, {"npu", 1.0, 0, 0}, 0);
+  }
+  EXPECT_DOUBLE_EQ(soc.WaitForKernel(last),
+                   2.0 * SocSimulator::kRecentRetirements);
+  EXPECT_FALSE(soc.IsFinished(slow));
+  EXPECT_DOUBLE_EQ(soc.StartTime(slow), 0.0);
+  EXPECT_FALSE(soc.IsFinished(queued));
+  EXPECT_DOUBLE_EQ(soc.WaitForKernel(queued), 1e5 + 10.0);
+  // Its late retirement leaves the newest kernel, which shares its store
+  // entry, alone (npu kernel j has handle j + 2 and ends at j + 1).
+  const KernelHandle slot_mate =
+      queued + 2 * SocSimulator::kRecentRetirements;
+  ASSERT_EQ(slot_mate, last);
+  EXPECT_DOUBLE_EQ(soc.CompletionTime(slot_mate),
+                   static_cast<double>(slot_mate - 1));
+}
+
+// With the timeline off, what the simulator retains stops growing once
+// the recent-retirement store is full, however long the run.
+TEST(SocSimulatorTest, RetainedBytesStayBoundedWithoutTimeline) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  UnitId npu = soc.AddUnit(Npu());
+  const std::string names[] = {"attn:L0", "ffn_down:gpu-seq1"};
+  auto run_kernels = [&](int64_t count) {
+    for (int64_t i = 0; i < count; ++i) {
+      soc.Submit(i % 2 == 0 ? gpu : npu, {names[i % 2], 1.0, 1e3, 0},
+                 soc.now());
+      if (i % 1000 == 999) {
+        soc.DrainAll();
+      }
+    }
+    soc.DrainAll();
+  };
+  run_kernels(2 * SocSimulator::kRecentRetirements);
+  const size_t after_short_run = soc.history_bytes();
+  EXPECT_LT(after_short_run,
+            SocSimulator::kRecentRetirements * SocSimulator::kLogRecordBytes);
+  run_kernels(8 * SocSimulator::kRecentRetirements);
+  EXPECT_EQ(soc.history_bytes(), after_short_run);
+}
+
+TEST(SocSimulatorDeathTest, AgedOutKernelQueryNamesTheTimeline) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  const KernelHandle first = soc.Submit(gpu, {"first", 1.0, 0, 0}, 0);
+  for (int64_t i = 0; i < SocSimulator::kRecentRetirements; ++i) {
+    soc.Submit(gpu, {"later", 1.0, 0, 0}, 0);
+  }
+  soc.DrainAll();
+  EXPECT_DEATH(soc.CompletionTime(first), "RecordTimeline");
+  EXPECT_DEATH(soc.IsFinished(first), "RecordTimeline");
+  EXPECT_DEATH(soc.WaitForKernel(first), "RecordTimeline");
+}
+
+TEST(SocSimulatorDeathTest, TimelineVisitWithoutRecordingAborts) {
+  SocSimulator soc(NoLossConfig());
+  UnitId gpu = soc.AddUnit(Gpu());
+  soc.Submit(gpu, {"k", 1.0, 0, 0}, 0);
+  soc.DrainAll();
+  EXPECT_DEATH(soc.VisitFinishedKernels([](const std::string&, UnitId,
+                                           MicroSeconds, MicroSeconds, Bytes,
+                                           Flops) {}),
+               "RecordTimeline");
+  EXPECT_DEATH(soc.RecordTimeline(), "before any kernel");
 }
 
 TEST(SocSimulatorDeathTest, StartTimeOfPendingKernelAborts) {

@@ -5,6 +5,7 @@
 // without re-prefilling, prefix-cache hits skipping whole chunks,
 // composition with speculative decoding, and every registry engine.
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -402,6 +403,87 @@ TEST(HybridChunkedTest, ServesMixedTraceOnEveryEngine) {
     }
     EXPECT_GT(m.hybrid_iterations, 0) << name;
   }
+}
+
+// A scripted KV squeeze in the middle of a kHybridChunked + speculative run
+// drives each round's reservation fallbacks. A decoding chat (4-block
+// footprint) shares a 32-block pool with a document still mid-prompt when
+// the usable cap drops to 8 blocks:
+//   * the decode rows first shed the verify window to one row per session;
+//   * once even one row cannot get a block, the decode side preempts the
+//     chat (the document has fewer decode tokens left); the document's next
+//     chunk drops the chat's parked prompt and still cannot get its blocks,
+//     so the round runs nothing and waits for the next condition event —
+//     the lift — with a session still admitted.
+// Every request still completes exactly once, with all its tokens.
+TEST(HybridChunkedTest, KvSqueezeShedsWindowPreemptsAndWaitsForLift) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  constexpr int kWindow = 3;
+  constexpr MicroSeconds kLift = 14e3;
+  sim::ConditionEvent squeeze;
+  squeeze.time = 6.8e3;
+  squeeze.kv_budget_scale = 0.25;
+  sim::ConditionEvent lift;
+  lift.time = kLift;
+  lift.kv_budget_scale = 1.0;
+
+  ReplicaOptions ropts;
+  ropts.platform = core::PlatformOptionsFor(kEngine);
+  ropts.platform.conditions = {squeeze, lift};
+  ropts.engine = kEngine;
+  ropts.scheduler.iteration = IterationPolicy::kHybridChunked;
+  ropts.scheduler.max_decode_batch = 2;
+  ropts.scheduler.prefill_chunk_tokens = 64;
+  ropts.scheduler.speculative_window = kWindow;
+  ropts.scheduler.kv_budget_bytes = KvCache::BytesForTokens(cfg, 32 * 16);
+  auto replica = Replica::Create(ropts, &weights);
+  ASSERT_TRUE(replica.ok());
+  Replica& r = **replica;
+
+  const std::vector<Request> reqs = {Request::Chat(0, 0, 16, 40),
+                                     Request::Chat(1, 6e3, 320, 4)};
+  r.BeginWindow();
+  for (const Request& req : reqs) {
+    r.Submit(req);
+  }
+  std::vector<int> completions(reqs.size(), 0);
+  int waits_with_sessions = 0;
+  for (;;) {
+    const bool had_sessions = r.active_sessions() > 0;
+    if (!r.StepRound()) {
+      break;
+    }
+    if (had_sessions && r.now() == kLift) {
+      ++waits_with_sessions;
+    }
+    for (const CompletionEvent& done : r.DrainCompletions()) {
+      ASSERT_GE(done.id, 0);
+      ASSERT_LT(done.id, static_cast<int>(reqs.size()));
+      ++completions[static_cast<size_t>(done.id)];
+    }
+  }
+  const ServingMetrics m = r.EndWindow();
+
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(completions[i], 1) << "request " << i;
+    EXPECT_EQ(m.requests[i].decoded_tokens, reqs[i].decode_len);
+    EXPECT_GT(m.requests[i].completion, m.requests[i].first_token);
+  }
+  // Unshed, every session step verifies kWindow drafts.
+  const int64_t session_steps =
+      std::llround(m.avg_decode_batch * m.decode_iterations);
+  EXPECT_LT(m.total_draft_tokens(), kWindow * session_steps);
+  // The chat was preempted by the decode side, and the document's prompt
+  // was still incomplete when the round waited for the lift.
+  EXPECT_EQ(m.requests[0].evictions, 1);
+  EXPECT_EQ(m.requests[1].evictions, 0);
+  EXPECT_EQ(waits_with_sessions, 1);
+  EXPECT_GT(m.requests[1].first_token, kLift);
+  // The dropped parked prompt re-prefills once: nothing resumes.
+  EXPECT_EQ(m.chunked_prefill_tokens, 16 + 16 + 320);
+  EXPECT_EQ(m.chunk_resumed_tokens, 0);
 }
 
 // The headline scheduling property: under mixed long-prompt/short-decode

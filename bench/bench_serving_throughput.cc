@@ -25,7 +25,6 @@ namespace {
 using model::ModelConfig;
 using serve::IterationPolicy;
 using serve::RequestQueue;
-using serve::SchedulePolicy;
 using serve::SchedulerOptions;
 using serve::ServingMetrics;
 
@@ -41,11 +40,11 @@ RequestQueue MakeTrace(int sessions) {
 }
 
 ServingMetrics ServeOnce(const model::ModelWeights& weights, int sessions,
-                         SchedulePolicy policy) {
+                         IterationPolicy policy) {
   serve::ReplicaOptions ropts;
   ropts.platform = core::PlatformOptionsFor(kEngine);
   ropts.engine = kEngine;
-  ropts.scheduler.policy = policy;
+  ropts.scheduler.iteration = policy;
   ropts.scheduler.max_decode_batch = kMaxBatch;
   auto replica = serve::Replica::Create(ropts, &weights);
   HCHECK(replica.ok());
@@ -64,9 +63,9 @@ void PrintServingComparison(report::BenchReport& report) {
                    "avg batch"});
   for (int sessions : {4, 8, 16}) {
     const ServingMetrics serial =
-        ServeOnce(weights, sessions, SchedulePolicy::kSerial);
+        ServeOnce(weights, sessions, IterationPolicy::kSerial);
     const ServingMetrics cb =
-        ServeOnce(weights, sessions, SchedulePolicy::kContinuousBatching);
+        ServeOnce(weights, sessions, IterationPolicy::kPrefillFirst);
     const double speedup =
         cb.aggregate_tokens_per_s() / serial.aggregate_tokens_per_s();
     struct Row {
@@ -140,9 +139,9 @@ void PrintServingComparison(report::BenchReport& report) {
 
 void BM_Serve(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
-  const SchedulePolicy policy = state.range(1) == 0
-                                    ? SchedulePolicy::kSerial
-                                    : SchedulePolicy::kContinuousBatching;
+  const IterationPolicy policy = state.range(1) == 0
+                                     ? IterationPolicy::kSerial
+                                     : IterationPolicy::kPrefillFirst;
   const ModelConfig cfg = ModelConfig::InternLM1_8B();
   model::ModelWeights weights =
       model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);

@@ -1,10 +1,12 @@
 // serving_demo: multi-session serving on one simulated mobile SoC.
 //
 // Generates a Poisson arrival trace of chat requests, serves it three times
-// over the Hetero-tensor engine — serial FIFO replay, continuous batching,
-// and continuous batching on a throttled platform (sustained-thermal model
-// plus a scripted NPU clock cap) — and prints the per-request table plus
-// aggregate throughput/latency metrics for each. A final section serves an
+// over the Hetero-tensor engine — serial FIFO replay (`kSerial`: the same
+// scheduling rounds with admission capped at one active session),
+// continuous batching (`kPrefillFirst`), and continuous batching on a
+// throttled platform (sustained-thermal model plus a scripted NPU clock
+// cap) — and prints the per-request table plus aggregate throughput/latency
+// metrics for each. A final section serves an
 // agentic task-DAG trace (multi-turn embed→rerank→generate→resume chains)
 // through the TaskGraph release loop with stage-aware priority admission
 // and the prefix cache, printing the per-task rollup.
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
       rng, sessions, /*mean_interarrival_us=*/5e4);
 
   const int max_batch = std::min(sessions, 16);
-  auto serve_once = [&](serve::SchedulePolicy policy, bool throttled) {
+  auto serve_once = [&](serve::IterationPolicy policy, bool throttled) {
     core::PlatformOptions popts = core::PlatformOptionsFor("Hetero-tensor");
     if (throttled) {
       popts.thermal = sim::ThermalConfig::MobileSustained();
@@ -57,7 +59,7 @@ int main(int argc, char** argv) {
     }
     serve::ReplicaOptions ropts;
     ropts.platform = popts;
-    ropts.scheduler.policy = policy;
+    ropts.scheduler.iteration = policy;
     ropts.scheduler.max_decode_batch = max_batch;
     StatusOr<std::unique_ptr<serve::Replica>> replica =
         serve::Replica::Create(ropts, &weights);
@@ -72,19 +74,17 @@ int main(int argc, char** argv) {
   std::printf("== serial FIFO replay (%d sessions, InternLM-1.8B) ==\n",
               sessions);
   const serve::ServingMetrics serial =
-      serve_once(serve::SchedulePolicy::kSerial, /*throttled=*/false);
+      serve_once(serve::IterationPolicy::kSerial, /*throttled=*/false);
   std::printf("%s\n", serial.Render().c_str());
 
   std::printf("== continuous batching ==\n");
   const serve::ServingMetrics cb =
-      serve_once(serve::SchedulePolicy::kContinuousBatching,
-                 /*throttled=*/false);
+      serve_once(serve::IterationPolicy::kPrefillFirst, /*throttled=*/false);
   std::printf("%s\n", cb.Render().c_str());
 
   std::printf("== continuous batching, throttled (NPU capped to 0.5x) ==\n");
   const serve::ServingMetrics hot =
-      serve_once(serve::SchedulePolicy::kContinuousBatching,
-                 /*throttled=*/true);
+      serve_once(serve::IterationPolicy::kPrefillFirst, /*throttled=*/true);
   std::printf("%s\n", hot.Render().c_str());
 
   std::printf("continuous batching speedup: %.2fx aggregate tokens/s\n",

@@ -16,42 +16,64 @@ Cluster::Cluster(std::vector<std::unique_ptr<Replica>> replicas,
   }
 }
 
-ClusterMetrics Cluster::Serve(const RequestQueue& queue) {
-  const std::vector<Request>& requests = queue.requests();
-  for (size_t i = 1; i < requests.size(); ++i) {
-    HCHECK_MSG(requests[i].arrival >= requests[i - 1].arrival,
-               "cluster trace must be sorted by arrival");
-  }
+namespace {
 
+constexpr MicroSeconds kNever = std::numeric_limits<MicroSeconds>::max();
+
+}  // namespace
+
+std::vector<Replica*> Cluster::OpenWindows() {
   std::vector<Replica*> raw;
   raw.reserve(replicas_.size());
   for (const std::unique_ptr<Replica>& r : replicas_) {
     r->BeginWindow();
     raw.push_back(r.get());
   }
-  ClusterRouter router(raw, options_.router);
+  return raw;
+}
 
-  constexpr MicroSeconds kNever = std::numeric_limits<MicroSeconds>::max();
+Replica* Cluster::EarliestReplica() const {
+  Replica* pick = nullptr;
+  for (const std::unique_ptr<Replica>& r : replicas_) {
+    if (r->has_work() && (pick == nullptr || r->now() < pick->now())) {
+      pick = r.get();
+    }
+  }
+  return pick;
+}
+
+ClusterMetrics Cluster::CloseWindows(const ClusterRouter& router) {
+  ClusterMetrics out;
+  out.slo = options_.slo;
+  out.offered = router.offered();
+  out.rejected = router.rejected();
+  out.replicas.reserve(replicas_.size());
+  for (const std::unique_ptr<Replica>& r : replicas_) {
+    ClusterMetrics::ReplicaRow row;
+    row.name = r->name();
+    row.device = r->device();
+    row.metrics = r->EndWindow();
+    out.replicas.push_back(std::move(row));
+  }
+  return out;
+}
+
+ClusterMetrics Cluster::Serve(const RequestQueue& queue) {
+  const std::vector<Request>& requests = queue.requests();
+  for (size_t i = 1; i < requests.size(); ++i) {
+    HCHECK_MSG(requests[i].arrival >= requests[i - 1].arrival,
+               "cluster trace must be sorted by arrival");
+  }
+  ClusterRouter router(OpenWindows(), options_.router);
+
   size_t next_arrival = 0;
   const auto arrival_time = [&]() -> MicroSeconds {
     return next_arrival < requests.size() ? requests[next_arrival].arrival
                                           : kNever;
   };
-  // The replica furthest behind in virtual time among those with work:
-  // stepping it is the earliest replica-side event.
-  const auto earliest_replica = [&]() -> Replica* {
-    Replica* pick = nullptr;
-    for (const std::unique_ptr<Replica>& r : replicas_) {
-      if (r->has_work() && (pick == nullptr || r->now() < pick->now())) {
-        pick = r.get();
-      }
-    }
-    return pick;
-  };
-
   while (next_arrival < requests.size() || router.pending() > 0 ||
-         earliest_replica() != nullptr) {
-    Replica* behind = earliest_replica();
+         EarliestReplica() != nullptr) {
+    Replica* behind = EarliestReplica();
     if (behind != nullptr && behind->now() <= arrival_time()) {
       behind->StepRound();
     } else if (next_arrival < requests.size()) {
@@ -69,44 +91,13 @@ ClusterMetrics Cluster::Serve(const RequestQueue& queue) {
     // load and prefix estimates at the current virtual time.
     router.DispatchReady();
   }
-
-  ClusterMetrics out;
-  out.slo = options_.slo;
-  out.offered = router.offered();
-  out.rejected = router.rejected();
-  out.replicas.reserve(replicas_.size());
-  for (const std::unique_ptr<Replica>& r : replicas_) {
-    ClusterMetrics::ReplicaRow row;
-    row.name = r->name();
-    row.device = r->device();
-    row.metrics = r->EndWindow();
-    out.replicas.push_back(std::move(row));
-  }
-  return out;
+  return CloseWindows(router);
 }
 
 ClusterMetrics Cluster::ServeTasks(TaskGraph& graph) {
   HCHECK_MSG(graph.released_stages() == 0,
              "ServeTasks needs a fresh TaskGraph (nothing released yet)");
-
-  std::vector<Replica*> raw;
-  raw.reserve(replicas_.size());
-  for (const std::unique_ptr<Replica>& r : replicas_) {
-    r->BeginWindow();
-    raw.push_back(r.get());
-  }
-  ClusterRouter router(raw, options_.router);
-
-  constexpr MicroSeconds kNever = std::numeric_limits<MicroSeconds>::max();
-  const auto earliest_replica = [&]() -> Replica* {
-    Replica* pick = nullptr;
-    for (const std::unique_ptr<Replica>& r : replicas_) {
-      if (r->has_work() && (pick == nullptr || r->now() < pick->now())) {
-        pick = r.get();
-      }
-    }
-    return pick;
-  };
+  ClusterRouter router(OpenWindows(), options_.router);
 
   // Same earliest-event interleaving as Serve, with the arrival trace
   // replaced by the graph's release frontier: a replica round runs only
@@ -115,7 +106,7 @@ ClusterMetrics Cluster::ServeTasks(TaskGraph& graph) {
   // stage released (and routed) first. Each round's completions feed the
   // graph before the next event, which may pull the frontier earlier.
   while (!graph.AllDone()) {
-    Replica* behind = earliest_replica();
+    Replica* behind = EarliestReplica();
     const MicroSeconds release = graph.NextReleaseTime();
     if (behind != nullptr && behind->now() <= release) {
       behind->StepRound();
@@ -144,20 +135,11 @@ ClusterMetrics Cluster::ServeTasks(TaskGraph& graph) {
     router.DispatchReady();
   }
 
-  ClusterMetrics out;
-  out.slo = options_.slo;
-  out.offered = router.offered();
-  out.rejected = router.rejected();
-  out.replicas.reserve(replicas_.size());
+  ClusterMetrics out = CloseWindows(router);
   std::vector<RequestMetrics> all_requests;
-  for (const std::unique_ptr<Replica>& r : replicas_) {
-    ClusterMetrics::ReplicaRow row;
-    row.name = r->name();
-    row.device = r->device();
-    row.metrics = r->EndWindow();
+  for (const ClusterMetrics::ReplicaRow& row : out.replicas) {
     all_requests.insert(all_requests.end(), row.metrics.requests.begin(),
                         row.metrics.requests.end());
-    out.replicas.push_back(std::move(row));
   }
   out.tasks = graph.BuildTaskMetrics(all_requests);
   return out;

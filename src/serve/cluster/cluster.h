@@ -78,6 +78,15 @@ class Cluster {
   const ClusterOptions& options() const { return options_; }
 
  private:
+  // Opens a serving window on every replica; returns the router's view.
+  std::vector<Replica*> OpenWindows();
+  // The replica furthest behind in virtual time among those with work:
+  // stepping it is the earliest replica-side event. Null when none has work.
+  Replica* EarliestReplica() const;
+  // Closes every replica's window into one row each, plus the router's
+  // offered/rejected counts.
+  ClusterMetrics CloseWindows(const ClusterRouter& router);
+
   std::vector<std::unique_ptr<Replica>> replicas_;
   ClusterOptions options_;
 };

@@ -54,13 +54,24 @@ int64_t CheckedTotalBlocks(const model::ModelConfig& cfg, Bytes budget,
   return total;
 }
 
+// Idle-advances `engine`'s platform to `t`. With dynamic conditions the
+// simulator advances too, so units cool and scripted events falling inside
+// the gap are applied on time. No-op if `t` has passed.
+void IdleTo(core::EngineBase* engine, MicroSeconds t) {
+  if (t <= engine->host_now()) {
+    return;
+  }
+  sim::SocSimulator& soc = engine->platform()->soc();
+  if (soc.dynamic_conditions()) {
+    soc.AdvanceIdleTo(t);
+  }
+  engine->AdvanceHostTo(t);
+}
+
 }  // namespace
 
-// One continuous-batching window. This is the serving state that used to be
-// local to `RunContinuous`, lifted into a struct so an incremental driver
-// can hold it open across `Submit`/`StepRound` calls; the method bodies are
-// the former lambdas, unchanged, so `Run` (which loops `StepRound` to
-// completion) is step-for-step identical to the old single-pass loop.
+// One serving window: the state an outer driver holds open across
+// `Submit`/`StepRound` calls.
 struct IterationScheduler::Continuous {
   Continuous(core::EngineBase* engine, const SchedulerOptions& options,
              ServingMetrics* m)
@@ -77,6 +88,7 @@ struct IterationScheduler::Continuous {
         pool(cfg, bt, total_blocks, model::ExecutionMode::kSimulate),
         prefix(&pool),
         use_prefix(options.enable_prefix_cache),
+        serial(options.iteration == IterationPolicy::kSerial),
         hybrid(options.iteration == IterationPolicy::kHybridChunked) {}
 
   core::EngineBase* engine;
@@ -104,6 +116,9 @@ struct IterationScheduler::Continuous {
   KvBlockPool pool;
   PrefixCache prefix;
   const bool use_prefix;
+  // One conversation at a time (IterationPolicy::kSerial): admission stops
+  // while a session is active.
+  const bool serial;
   // Chunked-prefill mode (IterationPolicy::kHybridChunked): admission only
   // reserves the slot; the prompt then prefills chunk-by-chunk, each chunk
   // fused with a round's batched decode.
@@ -130,8 +145,8 @@ struct IterationScheduler::Continuous {
   std::map<size_t, ParkedPrompt> parked;
   int64_t parked_stamp = 0;
 
-  // Grows as requests are handed in: all up front under `Run`, one at a
-  // time under `Submit`. Indices are stable, so they key slots and metrics.
+  // Grows as requests are submitted. Indices are stable, so they key slots
+  // and metrics.
   std::vector<Request> requests;
   std::vector<Slot> active;
   std::deque<size_t> waiting;  // arrived, not (currently) admitted
@@ -190,7 +205,7 @@ struct IterationScheduler::Continuous {
   }
 
   // True while the session is still inside its prompt — only hybrid slots
-  // ever are (the other policies prefill in full at admission).
+  // ever are (the other policies prefill whole prompts at admission).
   bool Prefilling(const Slot& slot) const {
     return slot.cache->length() <
            static_cast<int64_t>(requests[slot.idx].prompt_len);
@@ -297,12 +312,13 @@ struct IterationScheduler::Continuous {
     return best;
   }
 
-  // Admits (and prefills) the policy-chosen waiting request if the pool can
-  // cover its whole remaining footprint, evicting cached prefixes and
-  // preempting at most one active session when permitted. Returns true on
-  // admission.
+  // Admits the policy-chosen waiting request if the pool can cover its
+  // whole remaining footprint, evicting cached prefixes and preempting at
+  // most one active session if needed; outside kHybridChunked it also
+  // prefills the whole prompt. Returns true on admission. Under kSerial
+  // nothing is admitted while a session is active.
   bool TryAdmit() {
-    if (waiting.empty()) {
+    if (waiting.empty() || (serial && !active.empty())) {
       return false;
     }
     const size_t wpos = PickWaiting();
@@ -314,8 +330,7 @@ struct IterationScheduler::Continuous {
     // high-water mark or a full pool would abort mid-verify.
     const int64_t spec_slack = r.decode_len > 0 ? spec_window : 0;
     // Livelock guard: a conversation that cannot fit the whole budget even
-    // alone would evict forever. (The old reserve-by-max admission enforced
-    // this implicitly; block accounting must keep it explicit.)
+    // alone would evict forever.
     HCHECK_MSG(
         KvCache::BlocksForTokens(r.prompt_len + r.decode_len + spec_slack,
                                  bt) <= total_blocks,
@@ -357,9 +372,6 @@ struct IterationScheduler::Continuous {
       // exceeds usable_blocks() (a KV squeeze shrank the cap under the
       // reservations) no amount of prefix eviction can admit this request —
       // only preemption, which shrinks the headroom itself, still can.
-      // Without the re-check the loop churned the prefix cache, and could
-      // preempt a victim, in service of an admission the cap had already
-      // ruled out.
       const bool cap_feasible = need + Headroom() <= pool.usable_blocks();
       // Cheapest memory first: drop LRU unpinned cached prefixes.
       if (cap_feasible && prefix.EvictUntilFree(need + Headroom()) > 0) {
@@ -372,8 +384,7 @@ struct IterationScheduler::Continuous {
       // Then preempt at most one session, and only for a newcomer (a
       // request that has already held a slot queues instead — prevents
       // eviction ping-pong).
-      if (preempted || !options.allow_eviction || was_admitted[idx] ||
-          active.empty()) {
+      if (preempted || was_admitted[idx] || active.empty()) {
         release_hit();
         return false;
       }
@@ -402,49 +413,54 @@ struct IterationScheduler::Continuous {
       }
     }
     was_admitted[idx] = true;
-    RequestMetrics& rm = m->requests[idx];
-    rm.admitted = engine->host_now();
-    if (hybrid) {
-      // Chunked admission is just the slot setup: the prompt prefills as
-      // chunks inside the following hybrid rounds (FinishChunk stamps
-      // first_token when the last chunk commits).
-      const int64_t committed = slot.cache->length();
-      m->prefilled_tokens += r.prompt_len - (resuming ? committed : 0);
-      if (resuming) {
-        m->chunk_resumed_tokens += committed;
-      } else {
-        m->prefix_hit_tokens += hit.tokens;
-      }
-      active.push_back(std::move(slot));
-      m->peak_active_sessions = std::max(m->peak_active_sessions,
-                                         static_cast<int>(active.size()));
-      return true;
+    m->requests[idx].admitted = engine->host_now();
+    const int64_t committed = slot.cache->length();
+    m->prefilled_tokens += r.prompt_len - (resuming ? committed : 0);
+    if (resuming) {
+      m->chunk_resumed_tokens += committed;
+    } else {
+      m->prefix_hit_tokens += hit.tokens;
     }
-    m->prefilled_tokens += r.prompt_len;
-    m->prefix_hit_tokens += hit.tokens;
-    // Only the rows past the adopted prefix run (and are priced); RoPE
-    // offsets and attention spans start at the cache length.
-    engine->Execute(core::Batch::Deferred(core::Phase::kPrefill,
-                                          {slot.cache.get()},
-                                          r.prompt_len - hit.tokens,
-                                          cfg.hidden));
+    active.push_back(std::move(slot));
+    if (!hybrid) {
+      // Whole-prompt prefill. Only the rows past the adopted prefix run (and
+      // are priced); RoPE offsets and attention spans start at the cache
+      // length. Under kHybridChunked admission is just the slot setup: the
+      // prompt prefills as chunks inside the following rounds.
+      engine->Execute(core::Batch::Deferred(
+          core::Phase::kPrefill, {active.back().cache.get()},
+          r.prompt_len - committed, cfg.hidden));
+      CommitPrompt(active.size() - 1);
+    }
+    m->peak_active_sessions =
+        std::max(m->peak_active_sessions, static_cast<int>(active.size()));
+    return true;
+  }
+
+  // The prompt of `active[pos]` has fully committed — whole at admission or
+  // by its last chunk. TTFT stamps here, the committed prompt becomes
+  // prefix-cache currency, and a decode-less request completes (its slot's
+  // cache destructs: blocks return to the pool).
+  void CommitPrompt(size_t pos) {
+    const Slot& slot = active[pos];
+    const Request& r = requests[slot.idx];
+    RequestMetrics& rm = m->requests[slot.idx];
     rm.first_token = engine->host_now();
     if (use_prefix && !r.prompt_tokens.empty()) {
-      // The committed prompt blocks are now reusable by any later request
-      // with the same prompt head.
       prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
                     slot.cache->length());
     }
     if (r.decode_len == 0) {
-      rm.completion = rm.first_token;
-      ++completed;  // slot.cache destructs: blocks return to the pool
-      completions.push_back({r.id, rm.completion});
-    } else {
-      active.push_back(std::move(slot));
-      m->peak_active_sessions = std::max(
-          m->peak_active_sessions, static_cast<int>(active.size()));
+      Complete(slot.idx, rm.first_token);
+      active.erase(active.begin() + static_cast<ptrdiff_t>(pos));
     }
-    return true;
+  }
+
+  // Request `idx` finished at `t`.
+  void Complete(size_t idx, MicroSeconds t) {
+    m->requests[idx].completion = t;
+    ++completed;
+    completions.push_back({requests[idx].id, t});
   }
 
   // Round-robin fair selection: the max_decode_batch least recently
@@ -486,7 +502,7 @@ struct IterationScheduler::Continuous {
   // reserved — only when none is decoding, or the pool cannot supply the
   // next block(s) and no recovery move is left; the caller then waits for
   // the next condition event (only a scripted KV squeeze can pin the pool
-  // under the admission-time reservations) instead of the old hard abort.
+  // under the admission-time reservations).
   DecodeRows ReserveDecode() {
     std::vector<size_t> order = SelectOrder();
     DecodeRows d;
@@ -514,7 +530,7 @@ struct IterationScheduler::Continuous {
         d.rows = 1;
         continue;
       }
-      if (options.allow_eviction && active.size() > 1) {
+      if (active.size() > 1) {
         Evict(PickVictim());
         order = SelectOrder();
         continue;
@@ -574,9 +590,7 @@ struct IterationScheduler::Continuous {
       slot.decoded += emitted;
       rm.decoded_tokens = slot.decoded;
       if (slot.decoded >= requests[slot.idx].decode_len) {
-        rm.completion = now;
-        ++completed;
-        completions.push_back({requests[slot.idx].id, now});
+        Complete(slot.idx, now);
         done.push_back(s);
       }
     }
@@ -645,26 +659,12 @@ struct IterationScheduler::Continuous {
   void FinishChunk(const ChunkRows& c) {
     ++m->prefill_chunks;
     m->chunked_prefill_tokens += c.rows;
-    const Request& r = requests[c.idx];
-    if (c.cache->length() < r.prompt_len) {
+    if (c.cache->length() < requests[c.idx].prompt_len) {
       return;
     }
-    // Last chunk committed — the same epilogue the one-shot prefill path
-    // runs at admission: TTFT stamps here, the committed prompt becomes
-    // prefix-cache currency, and decode-less requests complete.
-    RequestMetrics& rm = m->requests[c.idx];
-    rm.first_token = engine->host_now();
-    if (use_prefix && !r.prompt_tokens.empty()) {
-      prefix.Insert(r.prompt_tokens, c.cache->blocks(), c.cache->length());
-    }
-    if (r.decode_len == 0) {
-      rm.completion = rm.first_token;
-      ++completed;
-      completions.push_back({r.id, rm.completion});
-      // The slot's cache destructs: blocks return to the pool.
-      active.erase(std::find_if(active.begin(), active.end(),
-                                [&](const Slot& s) { return s.idx == c.idx; }));
-    }
+    const auto it = std::find_if(active.begin(), active.end(),
+                                 [&](const Slot& s) { return s.idx == c.idx; });
+    CommitPrompt(static_cast<size_t>(it - active.begin()));
   }
 
   // One round's engine pass: the batched decode (or speculative verify)
@@ -713,65 +713,56 @@ struct IterationScheduler::Continuous {
     return true;
   }
 
-  // One scheduling round — one body of the old serving loop. Returns false
-  // (touching nothing) once every request has completed.
+  // Idles the platform until the next scripted condition event — a KV
+  // squeeze may lift — instead of aborting; sessions keep their blocks and
+  // their progress. `stall` is the abort message if no event is left.
+  void WaitForConditionEvent(const char* stall) {
+    const MicroSeconds next_event = soc.NextConditionEventTime();
+    HCHECK_MSG(std::isfinite(next_event), stall);
+    soc.AdvanceIdleTo(next_event);
+    engine->AdvanceHostTo(soc.now());
+  }
+
+  // One scheduling round. Returns false (touching nothing) once every
+  // request has completed.
   bool StepRound() {
     if (!HasWork()) {
       return false;
     }
     ApplyKvSqueeze();
     AdmitArrivals();
-    if (options.iteration == IterationPolicy::kDecodeFair) {
-      TryAdmit();
-    } else {
-      // kPrefillFirst admits (and fully prefills) everything admissible
-      // before the decode iteration; kHybridChunked admissions are cheap
-      // slot setups, so it too drains the admissible head of the queue.
-      while (TryAdmit()) {
-        AdmitArrivals();
-      }
+    // Drain the admissible head of the queue: kPrefillFirst prefills each
+    // admission whole, kHybridChunked admissions are cheap slot setups, and
+    // kSerial stops at the first session that stays active.
+    while (TryAdmit()) {
+      AdmitArrivals();
     }
     if (!active.empty()) {
       if (!Iteration()) {
         // The pool is pinned under this batch's next block with no
         // recovery move left — only a scripted KV squeeze can do that
-        // (admission reserved every session's whole footprint). Wait for
-        // the next condition event (the squeeze may lift) instead of
-        // aborting; sessions keep their blocks and their progress.
-        const MicroSeconds next_event = soc.NextConditionEventTime();
-        HCHECK_MSG(std::isfinite(next_event),
-                   "KV pool exhausted mid-decode with nothing to evict and "
-                   "no further condition events");
-        soc.AdvanceIdleTo(next_event);
-        engine->AdvanceHostTo(soc.now());
+        // (admission reserved every session's whole footprint).
+        WaitForConditionEvent(
+            "KV pool exhausted mid-decode with nothing to evict and no "
+            "further condition events");
       }
     } else if (!waiting.empty()) {
       // Nothing is running, so (modulo cached prefixes, which TryAdmit
       // evicts on demand) the whole pool is free and the head request must
       // be admissible — its footprint was HCHECKed against the budget;
       // admit rather than stall. The exception: a scripted KV squeeze can
-      // make even an empty platform inadmissible — then wait for the next
-      // condition event (the squeeze may lift) instead of aborting.
+      // make even an empty platform inadmissible.
       const bool admitted = TryAdmit();
       if (!admitted && soc.kv_budget_scale() < 1.0) {
-        const MicroSeconds next_event = soc.NextConditionEventTime();
-        HCHECK_MSG(std::isfinite(next_event),
-                   "serving stalled: KV budget squeezed below the head "
-                   "request with no further condition events");
-        soc.AdvanceIdleTo(next_event);
-        engine->AdvanceHostTo(soc.now());
+        WaitForConditionEvent(
+            "serving stalled: KV budget squeezed below the head request "
+            "with no further condition events");
         return true;
       }
       HCHECK_MSG(admitted,
                  "serving stalled: waiting requests but nothing admissible");
     } else if (next_arrival < requests.size()) {
-      const MicroSeconds arrival = requests[next_arrival].arrival;
-      if (soc.dynamic_conditions()) {
-        // Idle gap: advance the simulator too, so units cool and scripted
-        // events falling inside the gap are applied on time.
-        soc.AdvanceIdleTo(arrival);
-      }
-      engine->AdvanceHostTo(arrival);
+      IdleTo(engine, requests[next_arrival].arrival);
     }
     return true;
   }
@@ -796,69 +787,27 @@ IterationScheduler::IterationScheduler(core::EngineBase* engine,
 
 IterationScheduler::~IterationScheduler() = default;
 
-void IterationScheduler::StartWindow(ServingMetrics* m) {
+ServingMetrics IterationScheduler::Run(const RequestQueue& queue) {
+  BeginWindow();
+  for (const Request& r : queue.requests()) {
+    Submit(r);
+  }
+  while (StepRound()) {
+  }
+  return EndWindow();
+}
+
+void IterationScheduler::BeginWindow() {
+  HCHECK_MSG(cont_ == nullptr, "BeginWindow() with a window already open");
+  window_metrics_ = ServingMetrics();
   // Quiesce the device queues so the power snapshot marks a clean window
   // boundary (a no-op when the platform is already idle).
   sim::SocSimulator& soc = engine_->platform()->soc();
   soc.DrainAll();
   engine_->AdvanceHostTo(soc.now());
-  m->window_start = engine_->host_now();
+  window_metrics_.window_start = engine_->host_now();
   power_start_ = soc.power().Snapshot();
   replan_start_ = engine_->replan_events();
-}
-
-void IterationScheduler::FinishWindow(ServingMetrics* m) {
-  // Let straggling device queues drain so utilization covers real work only.
-  sim::SocSimulator& soc = engine_->platform()->soc();
-  soc.DrainAll();
-  engine_->AdvanceHostTo(soc.now());
-  m->window_end = engine_->host_now();
-  m->replan_events = engine_->replan_events() - replan_start_;
-  m->energy = soc.power().TotalEnergySince(power_start_, m->makespan());
-  m->avg_power_watts =
-      soc.power().AveragePowerWattsSince(power_start_, m->makespan());
-  m->report = core::ExecutionReport::Build(
-      *engine_->platform(), m->window_start, m->window_end);
-  for (const RequestMetrics& r : m->requests) {
-    m->evictions += r.evictions;
-  }
-}
-
-ServingMetrics IterationScheduler::Run(const RequestQueue& queue) {
-  HCHECK_MSG(cont_ == nullptr,
-             "Run() called while an incremental window is open");
-  const std::vector<Request>& requests = queue.requests();
-  ServingMetrics metrics;
-  StartWindow(&metrics);
-  if (options_.policy == SchedulePolicy::kSerial) {
-    metrics.requests.resize(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      metrics.requests[i].id = requests[i].id;
-      metrics.requests[i].arrival = requests[i].arrival;
-      metrics.requests[i].prompt_tokens = requests[i].prompt_len;
-    }
-    RunSerial(requests, &metrics);
-  } else {
-    // Scoped so the pool/prefix cache release their blocks before the
-    // closing drain, matching the old single-pass function's lifetime.
-    Continuous cont(engine_, options_, &metrics);
-    for (const Request& r : requests) {
-      cont.Add(r);
-    }
-    while (cont.StepRound()) {
-    }
-    cont.Finish();
-  }
-  FinishWindow(&metrics);
-  return metrics;
-}
-
-void IterationScheduler::BeginWindow() {
-  HCHECK_MSG(cont_ == nullptr, "BeginWindow() with a window already open");
-  HCHECK_MSG(options_.policy == SchedulePolicy::kContinuousBatching,
-             "incremental serving requires continuous batching");
-  window_metrics_ = ServingMetrics();
-  StartWindow(&window_metrics_);
   cont_ = std::make_unique<Continuous>(engine_, options_, &window_metrics_);
 }
 
@@ -884,7 +833,21 @@ ServingMetrics IterationScheduler::EndWindow() {
              "first");
   cont_->Finish();
   cont_.reset();  // pool + prefix cache release their blocks pre-drain
-  FinishWindow(&window_metrics_);
+  // Let straggling device queues drain so utilization covers real work only.
+  ServingMetrics& m = window_metrics_;
+  sim::SocSimulator& soc = engine_->platform()->soc();
+  soc.DrainAll();
+  engine_->AdvanceHostTo(soc.now());
+  m.window_end = engine_->host_now();
+  m.replan_events = engine_->replan_events() - replan_start_;
+  m.energy = soc.power().TotalEnergySince(power_start_, m.makespan());
+  m.avg_power_watts =
+      soc.power().AveragePowerWattsSince(power_start_, m.makespan());
+  m.report = core::ExecutionReport::Build(*engine_->platform(),
+                                          m.window_start, m.window_end);
+  for (const RequestMetrics& r : m.requests) {
+    m.evictions += r.evictions;
+  }
   ServingMetrics out = std::move(window_metrics_);
   window_metrics_ = ServingMetrics();
   return out;
@@ -925,48 +888,6 @@ int64_t IterationScheduler::ProbePrefixTokens(
 
 MicroSeconds IterationScheduler::now() const { return engine_->host_now(); }
 
-void IterationScheduler::AdvanceIdleTo(MicroSeconds t) {
-  if (t <= engine_->host_now()) {
-    return;
-  }
-  sim::SocSimulator& soc = engine_->platform()->soc();
-  if (soc.dynamic_conditions()) {
-    // Idle gap: advance the simulator too, so units cool and scripted
-    // events falling inside the gap are applied on time.
-    soc.AdvanceIdleTo(t);
-  }
-  engine_->AdvanceHostTo(t);
-}
-
-void IterationScheduler::RunSerial(const std::vector<Request>& requests,
-                                   ServingMetrics* m) {
-  const model::ModelConfig& cfg = engine_->model_config();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const Request& r = requests[i];
-    RequestMetrics& rm = m->requests[i];
-    engine_->AdvanceHostTo(r.arrival);
-    rm.admitted = engine_->host_now();
-    const Bytes need =
-        KvCache::BytesForTokens(cfg, r.prompt_len + r.decode_len);
-    HCHECK_MSG(need <= options_.kv_budget_bytes,
-               "request KV footprint exceeds the budget");
-    KvCache cache(cfg, r.prompt_len + std::max(r.decode_len, 1),
-                  model::ExecutionMode::kSimulate);
-    engine_->Execute(core::Batch::Deferred(core::Phase::kPrefill, {&cache},
-                                           r.prompt_len, cfg.hidden));
-    rm.first_token = engine_->host_now();
-    for (int t = 0; t < r.decode_len; ++t) {
-      engine_->Execute(
-          core::Batch::Deferred(core::Phase::kDecode, {&cache}, 1, cfg.hidden));
-      ++rm.decoded_tokens;
-      ++m->decode_iterations;
-      m->avg_decode_batch += 1.0;
-    }
-    rm.completion = engine_->host_now();
-  }
-  if (m->decode_iterations > 0) {
-    m->avg_decode_batch /= m->decode_iterations;
-  }
-}
+void IterationScheduler::AdvanceIdleTo(MicroSeconds t) { IdleTo(engine_, t); }
 
 }  // namespace heterollm::serve

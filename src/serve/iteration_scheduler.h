@@ -21,17 +21,16 @@
 // which parks the committed prompt blocks so re-admission resumes at the
 // next prefill chunk.
 //
-// Two driving modes share one window machinery (the KV pool, prefix cache
-// and active/waiting session state live *in the scheduler*, not in `Run`):
+// Every policy is served through one window (the KV pool, prefix cache and
+// active/waiting session state live *in the scheduler*):
 //
-//   * Batch: `Run(queue)` serves a whole arrival trace to completion — the
-//     single-SoC path every bench and test drives.
-//   * Incremental: `BeginWindow` / `Submit` / `StepRound` / `EndWindow` let
-//     an outer driver (the cluster front-end, src/serve/cluster/) feed
-//     requests as they are routed and advance the replica one scheduling
-//     round at a time on its own simulated clock. `Run` is implemented on
-//     top of the same rounds, so the two modes are step-for-step identical
-//     on the same request sequence.
+//   * `BeginWindow` / `Submit` / `StepRound` / `EndWindow` let an outer
+//     driver (the cluster front-end, src/serve/cluster/; the task-DAG
+//     release loop, src/serve/task_graph.h) feed requests as they are
+//     routed and advance the replica one scheduling round at a time on its
+//     own simulated clock.
+//   * `Run(queue)` is that loop over a whole arrival trace: open a window,
+//     submit every request, step until no work is left, close the window.
 //
 // The scheduler drives `ExecutionMode::kSimulate` engines only — batched
 // decoding shares one forward pass across sessions with different cache
@@ -51,22 +50,17 @@
 
 namespace heterollm::serve {
 
-enum class SchedulePolicy {
-  // One request at a time, FIFO by arrival: full prefill + all decode steps
-  // before the next request starts (the pre-serving replay baseline).
-  kSerial,
-  // Iteration-level scheduling: new requests join between decode
-  // iterations; decode runs batched across all active sessions.
-  kContinuousBatching,
-};
-
 enum class IterationPolicy {
-  // Admit (and prefill) every admissible waiting request before the next
-  // decode iteration — minimizes TTFT at some cost to decode cadence.
+  // One conversation at a time, FIFO by arrival — the paper's serial
+  // baseline: nothing is admitted while a session is active, so each
+  // request prefills whole and decodes to completion before the next one
+  // starts. The same rounds as kPrefillFirst with admission capped at one
+  // active session.
+  kSerial,
+  // Continuous batching: admit (and prefill whole) every admissible waiting
+  // request before the next decode iteration, then decode batched across
+  // all active sessions — minimizes TTFT at some cost to decode cadence.
   kPrefillFirst,
-  // At most one admission between decode iterations — active sessions keep
-  // a steady TPOT while arrivals trickle in.
-  kDecodeFair,
   // Chunked prefill with stage-aware hybrid iterations: prompts prefill in
   // transactional chunks, and every scheduling round is one engine pass of
   // at most `prefill_chunk_tokens` rows — the batched decode/verify rows
@@ -98,19 +92,18 @@ enum class AdmissionPolicy {
 };
 
 struct SchedulerOptions {
-  SchedulePolicy policy = SchedulePolicy::kContinuousBatching;
   IterationPolicy iteration = IterationPolicy::kPrefillFirst;
   // Order in which waiting (arrived, unadmitted) requests are considered
-  // for admission. kFifo preserves the pre-task-layer behavior exactly.
+  // for admission.
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   // Max sessions per batched decode iteration. The engine must have static
   // NPU decode graphs for every batch size up to this value — build it with
   // `BuildServingEngine` (src/serve/serving_engine.h) or `Replica::Create`
   // (src/serve/replica.h), which wire the decode widths for you.
   int max_decode_batch = 8;
-  // KV-cache memory budget across all admitted sessions. Continuous
-  // batching carves it into `kv_block_tokens`-sized blocks; whatever the
-  // division leaves over is unusable slack.
+  // KV-cache memory budget across all admitted sessions. The scheduler
+  // carves it into `kv_block_tokens`-sized blocks; whatever the division
+  // leaves over is unusable slack.
   Bytes kv_budget_bytes = 256 * kMiB;
   // Tokens per KV block. Smaller blocks track conversation footprints more
   // exactly and share finer prefixes; larger blocks cut bookkeeping.
@@ -118,8 +111,6 @@ struct SchedulerOptions {
   // Share committed prompt blocks across requests with identical prompt
   // heads (needs traces that carry `Request::prompt_tokens`).
   bool enable_prefix_cache = true;
-  // Preempt an active session when a never-admitted request cannot fit.
-  bool allow_eviction = true;
   // Speculative decoding: draft tokens verified per decode iteration
   // (0 = off). Every selected session advances by up to window+1 tokens per
   // iteration through one batched verify pass; rejected drafts are rolled
@@ -153,7 +144,7 @@ struct SchedulerOptions {
   static StatusOr<SchedulerOptions> Validated(SchedulerOptions options);
 };
 
-// One request finishing inside an incremental window, surfaced through
+// One request finishing inside a serving window, surfaced through
 // `DrainCompletions` so an outer driver (the task-DAG release loop) can
 // react — release dependent stages — without scraping the window metrics.
 struct CompletionEvent {
@@ -171,20 +162,20 @@ class IterationScheduler {
   IterationScheduler(const IterationScheduler&) = delete;
   IterationScheduler& operator=(const IterationScheduler&) = delete;
 
-  // Serves every request in `queue`; returns when all have completed.
-  // Simulated time continues from the engine's current clock. Must not be
-  // called while an incremental window is open.
+  // Serves every request in `queue` through one window (BeginWindow, Submit
+  // each request, StepRound until no work is left, EndWindow) and returns
+  // its metrics. Simulated time continues from the engine's current clock.
+  // Must not be called while a window is open.
   ServingMetrics Run(const RequestQueue& queue);
 
-  // --- incremental serving (cluster mode) ----------------------------------
-  // The cluster driver owns the arrival trace and the routing decision; the
+  // --- the serving window ---------------------------------------------------
+  // An outer driver may own the arrival trace and the routing decision; the
   // scheduler owns everything downstream: admission, KV blocks, prefix
   // cache, batched iterations. A window brackets one serving run for
-  // power/utilization accounting, exactly like one `Run` call.
+  // power/utilization accounting.
 
-  // Opens an incremental window (continuous batching only). Quiesces the
-  // platform and snapshots the power meter so `EndWindow`'s energy and
-  // utilization cover this window alone.
+  // Opens a window. Quiesces the platform and snapshots the power meter so
+  // `EndWindow`'s energy and utilization cover this window alone.
   void BeginWindow();
 
   // Hands the scheduler one routed request. Requests must arrive in
@@ -194,11 +185,11 @@ class IterationScheduler {
   // (a stage's `arrival` is its release time, see request_queue.h).
   void Submit(const Request& request);
 
-  // One scheduling round: pump arrivals, admit (policy-dependent), then one
-  // engine pass — a batched decode/verify iteration, under kHybridChunked
-  // fused with one prefill chunk — or an idle/stall advance when nothing
-  // is runnable. Returns false (and does nothing) when every submitted
-  // request has completed.
+  // One scheduling round: pump arrivals, admit (nothing while a session is
+  // active under kSerial), then one engine pass — a batched decode/verify
+  // iteration, under kHybridChunked fused with one prefill chunk — or an
+  // idle/stall advance when nothing is runnable. Returns false (and does
+  // nothing) when every submitted request has completed.
   bool StepRound();
 
   // Drains the platform and closes the window, returning its metrics.
@@ -230,16 +221,11 @@ class IterationScheduler {
   core::EngineBase* engine() const { return engine_; }
 
  private:
-  struct Continuous;  // one continuous-batching window's state
-
-  // Window prologue/epilogue shared by Run and Begin/EndWindow.
-  void StartWindow(ServingMetrics* m);
-  void FinishWindow(ServingMetrics* m);
-  void RunSerial(const std::vector<Request>& requests, ServingMetrics* m);
+  struct Continuous;  // one serving window's state
 
   core::EngineBase* engine_;
   SchedulerOptions options_;
-  std::unique_ptr<Continuous> cont_;  // open incremental window, if any
+  std::unique_ptr<Continuous> cont_;  // the open window, if any
   ServingMetrics window_metrics_;     // metrics of the open window
   sim::PowerSnapshot power_start_;
   int replan_start_ = 0;

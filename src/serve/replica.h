@@ -1,17 +1,11 @@
 // One serving replica: a complete single-SoC serving stack behind a narrow
-// submit/step/drain/metrics interface.
+// submit/step/drain/metrics interface. One object owns its `Platform`, its
+// serving engine over a *shared* `ModelWeights` view (weights are
+// read-only; N replicas of the same model share one copy), and its
+// `IterationScheduler` — and therefore, transitively, the per-replica KV
+// block pool and prefix-cache trie.
 //
-// Before this abstraction every bench wired the stack by hand — construct a
-// `Platform`, call `BuildServingEngine` over it, then point an
-// `IterationScheduler` at the engine — and the ownership of those three
-// pieces (plus the KV pool and prefix cache living inside the scheduler)
-// was threaded ad hoc through each call site. `Replica` inverts that: one
-// object owns its `Platform`, its serving engine over a *shared*
-// `ModelWeights` view (weights are read-only; N replicas of the same model
-// share one copy), and its `IterationScheduler` — and therefore,
-// transitively, the per-replica KV block pool and prefix-cache trie.
-//
-// The primary surface is the incremental window:
+// The surface is the serving window:
 //
 //   replica->BeginWindow();
 //   replica->Submit(request);        // any time, non-decreasing arrivals
@@ -26,12 +20,10 @@
 // dependent-stage submissions. `ProbePrefixTokens` and `load` are the
 // read-only signals the router's policies consume between rounds.
 //
-// `Serve(queue)` is the batch convenience wrapper over the same rounds —
-// open a window, submit the whole trace, step dry, close — kept because
-// most benches and tests serve a fixed arrival trace to completion on one
-// SoC; it is step-for-step identical to driving the window by hand (see
-// IterationScheduler::Run), so there is no third submission path to keep
-// in sync.
+// `Serve(queue)` is that loop over a fixed arrival trace — open a window,
+// submit the whole trace, step dry, close (IterationScheduler::Run) — for
+// the benches and tests that serve one trace to completion on one SoC.
+// Every scheduler policy, serial replay included, runs through the window.
 //
 // Each replica has its own simulated clock (its Platform's event
 // simulator); nothing is shared across replicas except the weights view.
@@ -69,7 +61,8 @@ struct ReplicaOptions {
   // knobs (decode widths, KV capacity) from `scheduler`.
   std::string engine = "Hetero-tensor";
   core::EngineOptions engine_options;
-  // Scheduler knobs, including the iteration policy. Selecting
+  // Scheduler knobs, including the iteration policy: `kSerial` replays one
+  // conversation at a time, `kPrefillFirst` batches continuously, and
   // `IterationPolicy::kHybridChunked` turns on chunked prefill end-to-end:
   // `BuildServingEngine` pre-compiles the `prefill_chunk_tokens`-width
   // schedule and the replica's `ServingMetrics` report the chunk counters
@@ -90,8 +83,8 @@ class Replica {
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
-  // The primary incremental surface — see IterationScheduler for the exact
-  // contracts; these forward one-to-one.
+  // The serving window — see IterationScheduler for the exact contracts;
+  // these forward one-to-one.
   void BeginWindow() { scheduler_->BeginWindow(); }
   void Submit(const Request& request) { scheduler_->Submit(request); }
   bool StepRound() { return scheduler_->StepRound(); }
@@ -102,9 +95,8 @@ class Replica {
     return scheduler_->DrainCompletions();
   }
 
-  // Batch convenience wrapper: serve a whole fixed trace to completion on
-  // this replica alone (one window, every request submitted up front,
-  // stepped dry) — step-for-step identical to driving the window by hand.
+  // Serves a whole fixed trace to completion on this replica alone: one
+  // window, every request submitted up front, stepped dry.
   ServingMetrics Serve(const RequestQueue& queue) {
     return scheduler_->Run(queue);
   }

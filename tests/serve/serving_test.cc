@@ -122,14 +122,14 @@ TEST(ServingTest, FifoSerialVsContinuousBatchingOrdering) {
   RequestQueue queue(UniformBurst(4, /*prompt=*/96, /*decode=*/12));
 
   SchedulerOptions serial_opts;
-  serial_opts.policy = SchedulePolicy::kSerial;
+  serial_opts.iteration = IterationPolicy::kSerial;
   serial_opts.max_decode_batch = 4;
   Harness hs = MakeEngine(weights, serial_opts);
   ServingMetrics serial =
       IterationScheduler(hs.engine.get(), serial_opts).Run(queue);
 
   SchedulerOptions cb_opts;
-  cb_opts.policy = SchedulePolicy::kContinuousBatching;
+  cb_opts.iteration = IterationPolicy::kPrefillFirst;
   cb_opts.max_decode_batch = 4;
   Harness hc = MakeEngine(weights, cb_opts);
   ServingMetrics cb =
@@ -159,7 +159,7 @@ TEST(ServingTest, ContinuousBatchingThroughputAt8Sessions) {
   RequestQueue queue(UniformBurst(8, /*prompt=*/64, /*decode=*/16));
 
   SchedulerOptions serial_opts;
-  serial_opts.policy = SchedulePolicy::kSerial;
+  serial_opts.iteration = IterationPolicy::kSerial;
   serial_opts.max_decode_batch = 8;
   Harness hs = MakeEngine(weights, serial_opts);
   ServingMetrics serial =
@@ -176,34 +176,63 @@ TEST(ServingTest, ContinuousBatchingThroughputAt8Sessions) {
   EXPECT_EQ(cb.total_decoded_tokens(), serial.total_decoded_tokens());
 }
 
-// With eviction disabled a request that does not fit the KV budget queues
-// until a running session releases its reservation.
-TEST(ServingTest, KvBudgetQueuesWhenFull) {
+// Serial replay is admission capped at one active session: each request is
+// admitted no earlier than its arrival and the previous completion (a
+// decode-less request completes at its first token and frees the slot at
+// once), every decode iteration carries one session, and the KV pool
+// reports what the lone session held. Driving the window by hand serves the
+// same run as `Run`.
+TEST(ServingTest, SerialAdmitsOneSessionAtATime) {
   const ModelConfig cfg = ModelConfig::InternLM1_8B();
   ModelWeights weights = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
-  std::vector<Request> reqs = UniformBurst(2, /*prompt=*/64, /*decode=*/8);
+  const RequestQueue queue({Request::Chat(0, 0, 96, 12),
+                            Request::Chat(1, 1e4, 64, 0),
+                            Request::Chat(2, 2e4, 48, 8),
+                            Request::Chat(3, 5e6, 80, 6)});
 
   SchedulerOptions opts;
-  opts.allow_eviction = false;
-  opts.max_decode_batch = 2;
-  // Budget fits exactly one request's conversation: 64 + 8 tokens round up
-  // to 5 blocks of 16 (the decode tail spills into a fifth block).
-  opts.kv_budget_bytes = KvCache::BytesForTokens(cfg, 80);
-
+  opts.iteration = IterationPolicy::kSerial;
+  opts.max_decode_batch = 4;
   Harness h = MakeEngine(weights, opts);
-  ServingMetrics m =
-      IterationScheduler(h.engine.get(), opts).Run(RequestQueue(reqs));
+  IterationScheduler scheduler(h.engine.get(), opts);
+  const ServingMetrics m = scheduler.Run(queue);
 
+  ASSERT_EQ(m.requests.size(), 4u);
+  for (size_t i = 0; i < m.requests.size(); ++i) {
+    const RequestMetrics& r = m.requests[i];
+    EXPECT_GE(r.admitted, r.arrival);
+    EXPECT_EQ(r.decoded_tokens, queue.requests()[i].decode_len);
+    if (i > 0) {
+      EXPECT_GE(r.admitted, m.requests[i - 1].completion);
+    }
+  }
+  EXPECT_EQ(m.requests[1].completion, m.requests[1].first_token);
+  // Request 2 arrived while request 0 decoded; the decode-less request 1
+  // ahead of it held no slot past its prefill.
+  EXPECT_EQ(m.requests[2].admitted, m.requests[1].completion);
+  EXPECT_EQ(m.requests[3].admitted, 5e6);  // idle until it arrives
+  EXPECT_EQ(m.peak_active_sessions, 1);
+  EXPECT_GT(m.kv_blocks_peak, 0);
+  EXPECT_EQ(m.decode_iterations, 12 + 8 + 6);
+  EXPECT_DOUBLE_EQ(m.avg_decode_batch, 1.0);
   EXPECT_EQ(m.evictions, 0);
-  // Request 1 was admitted only after request 0 finished and released its
-  // reservation.
-  EXPECT_GE(m.requests[1].admitted, m.requests[0].completion);
-  EXPECT_EQ(m.requests[1].decoded_tokens, 8);
+
+  Harness by_hand = MakeEngine(weights, opts);
+  IterationScheduler windowed(by_hand.engine.get(), opts);
+  windowed.BeginWindow();
+  for (const Request& r : queue.requests()) {
+    windowed.Submit(r);
+  }
+  while (windowed.StepRound()) {
+    EXPECT_LE(windowed.active_sessions(), 1);
+  }
+  EXPECT_EQ(windowed.EndWindow().ToJson(), m.ToJson());
 }
 
-// With eviction enabled, a newcomer that cannot fit preempts the active
-// session with the most remaining decode work; the victim restarts from
-// prefill once the budget frees up, and everything still completes.
+// A newcomer that cannot fit preempts the active session with the most
+// remaining decode work; the victim queues — a request that already held a
+// slot never preempts — and restarts from prefill once the newcomer's
+// completion frees the budget, and everything still completes.
 TEST(ServingTest, KvBudgetEvictsAndRestarts) {
   const ModelConfig cfg = ModelConfig::InternLM1_8B();
   ModelWeights weights = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
@@ -213,7 +242,6 @@ TEST(ServingTest, KvBudgetEvictsAndRestarts) {
                                      Request::Chat(1, 1e5, 64, 8)};
 
   SchedulerOptions opts;
-  opts.allow_eviction = true;
   opts.max_decode_batch = 2;
   // 8 blocks of 16: fits r0's whole conversation (64 + 64), but by r1's
   // arrival r0 occupies 5+ blocks, so r1's 5-block admission must preempt.
@@ -229,7 +257,9 @@ TEST(ServingTest, KvBudgetEvictsAndRestarts) {
   // The victim restarted and still decoded everything it was asked to.
   EXPECT_EQ(m.requests[0].decoded_tokens, 64);
   EXPECT_EQ(m.requests[1].decoded_tokens, 8);
-  // The newcomer ran while the victim waited: it finished first.
+  // The newcomer ran while the victim queued: the victim's re-admission
+  // waited for the newcomer's completion.
+  EXPECT_GE(m.requests[0].admitted, m.requests[1].completion);
   EXPECT_LT(m.requests[1].completion, m.requests[0].completion);
 }
 
@@ -253,26 +283,6 @@ TEST(ServingTest, DeterministicAcrossRuns) {
   const std::string b = run_once().ToJson();
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"ttft_p99_us\""), std::string::npos);
-}
-
-// Decode-fair interleaves admissions with decode iterations instead of
-// draining the whole arrival queue first; both policies finish all work.
-TEST(ServingTest, DecodeFairStillCompletesEverything) {
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  ModelWeights weights = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
-  RequestQueue queue(UniformBurst(5, /*prompt=*/48, /*decode=*/6));
-
-  SchedulerOptions opts;
-  opts.iteration = IterationPolicy::kDecodeFair;
-  opts.max_decode_batch = 4;
-  Harness h = MakeEngine(weights, opts);
-  ServingMetrics m = IterationScheduler(h.engine.get(), opts).Run(queue);
-
-  for (const RequestMetrics& r : m.requests) {
-    EXPECT_EQ(r.decoded_tokens, 6);
-    EXPECT_GT(r.completion, 0);
-  }
-  EXPECT_GT(m.avg_decode_batch, 1.0);
 }
 
 // Energy is accounted per serving window (snapshot deltas), not from the

@@ -216,7 +216,6 @@ TEST(ServeTasksTest, AgenticTraceCompletesInDependencyOrderUnderPreemption) {
 
   ReplicaOptions ropts = BaseOptions("r0");
   ropts.scheduler.enable_prefix_cache = true;
-  ropts.scheduler.allow_eviction = true;
   ropts.scheduler.max_decode_batch = 2;
   // Tight budget: concurrent sessions cannot all hold KV, forcing
   // preemptions — dependency release must still hold.

@@ -29,7 +29,7 @@ Batch Batch::Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
   for (model::KvCache* cache : caches) {
     batch.slots.push_back({cache, rows});
   }
-  batch.logits_rows = caches.size() > 1 ? batch.input.shape().rows() : 1;
+  batch.logits_rows = phase == Phase::kDecode ? batch.input.shape().rows() : 1;
   return batch;
 }
 

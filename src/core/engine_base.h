@@ -157,8 +157,10 @@ struct Batch {
   }
   // A timing-only batch of deferred input rows: each of `caches` appends
   // `rows` rows (the serving layer's synthetic prompts and decode steps).
-  // One cache gets logits for its last row; several get them for every row
-  // (in a decode batch each row is some session's next-token position).
+  // A decode-phase batch gets logits for every row: each row is some
+  // session's next-token position, or a draft position a speculative
+  // verify checks — also when one session verifies alone. A prefill batch
+  // gets them for its last row.
   static Batch Deferred(Phase phase, const std::vector<model::KvCache*>& caches,
                         int64_t rows, int64_t hidden);
   // A timing-only fused hybrid round: one prefill chunk of `chunk_rows` rows

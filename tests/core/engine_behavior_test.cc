@@ -183,8 +183,9 @@ TEST(EngineBehaviorTest, ChunkedEngineChunksPrefillBatches) {
 }
 
 // Schedules that differ only in logits rows share one compiled body: a
-// 3-row single-session step, a 3-slot decode batch and a 3-row verify all
-// run the same decoder body, and only the LM-head tail is re-planned.
+// 3-row single-session step with logits for its last row, a 3-slot decode
+// batch and a 3-row verify all run the same decoder body, and only the
+// LM-head tail is re-planned.
 TEST(EngineBehaviorTest, LogitsRowCountsShareOneCompiledBody) {
   const ModelConfig cfg = ModelConfig::Tiny();
   ModelWeights w = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
@@ -197,8 +198,9 @@ TEST(EngineBehaviorTest, LogitsRowCountsShareOneCompiledBody) {
         cfg, 64, ExecutionMode::kSimulate));
     batch.push_back(caches.back().get());
   }
-  const PhaseStats last = engine->Execute(
-      Batch::Deferred(Phase::kDecode, {batch[0]}, 3, cfg.hidden));
+  Batch last_row = Batch::Deferred(Phase::kDecode, {batch[0]}, 3, cfg.hidden);
+  last_row.logits_rows = 1;
+  const PhaseStats last = engine->Execute(last_row);
   EXPECT_EQ(engine->schedule_compiles(), 1);
   EXPECT_EQ(last.logits.shape().rows(), 1);
   const PhaseStats all =
@@ -212,6 +214,31 @@ TEST(EngineBehaviorTest, LogitsRowCountsShareOneCompiledBody) {
   EXPECT_EQ(engine->schedule_compiles(), 1);
   engine->Execute(Batch::Deferred(Phase::kPrefill, {batch[2]}, 3, cfg.hidden));
   EXPECT_EQ(engine->schedule_compiles(), 2);  // another phase: a new body
+}
+
+// A deferred decode-phase batch prices and returns logits for every row,
+// whether one session verifies its drafts alone or several sessions share
+// the pass; a deferred prefill batch returns logits for its last row only.
+TEST(EngineBehaviorTest, DeferredDecodeGetsLogitsForEveryRow) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  ModelWeights w = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  Platform plat(PlatformOptionsFor("Hetero-tensor"));
+  auto engine = CreateEngine("Hetero-tensor", &plat, &w);
+  model::KvCache a(cfg, 64, ExecutionMode::kSimulate);
+  model::KvCache b(cfg, 64, ExecutionMode::kSimulate);
+  constexpr int64_t kWindow = 3;
+
+  const Batch lone =
+      Batch::Deferred(Phase::kDecode, {&a}, kWindow + 1, cfg.hidden);
+  EXPECT_EQ(lone.logits_rows, kWindow + 1);
+  EXPECT_EQ(engine->Execute(lone).logits.shape().rows(), kWindow + 1);
+  const Batch shared =
+      Batch::Deferred(Phase::kDecode, {&a, &b}, kWindow + 1, cfg.hidden);
+  EXPECT_EQ(engine->Execute(shared).logits.shape().rows(),
+            2 * (kWindow + 1));
+  const Batch prefill =
+      Batch::Deferred(Phase::kPrefill, {&a, &b}, 5, cfg.hidden);
+  EXPECT_EQ(prefill.logits_rows, 1);
 }
 
 TEST(EngineBehaviorTest, SpeculativeWidthImprovesThroughput) {

@@ -799,7 +799,6 @@ ServingMetrics IterationScheduler::Run(const RequestQueue& queue) {
 
 void IterationScheduler::BeginWindow() {
   HCHECK_MSG(cont_ == nullptr, "BeginWindow() with a window already open");
-  window_metrics_ = ServingMetrics();
   // Quiesce the device queues so the power snapshot marks a clean window
   // boundary (a no-op when the platform is already idle).
   sim::SocSimulator& soc = engine_->platform()->soc();

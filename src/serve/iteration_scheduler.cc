@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/model/kv_cache.h"
-#include "src/serve/kv_pool.h"
-#include "src/serve/prefix_cache.h"
+#include "src/serve/kv_ledger.h"
 
 namespace heterollm::serve {
 
@@ -47,13 +45,6 @@ StatusOr<SchedulerOptions> SchedulerOptions::Validated(
 
 namespace {
 
-int64_t CheckedTotalBlocks(const model::ModelConfig& cfg, Bytes budget,
-                           int64_t block_tokens) {
-  const int64_t total = KvBlockPool::BlocksForBudget(cfg, budget, block_tokens);
-  HCHECK_MSG(total >= 1, "kv_budget_bytes smaller than one KV block");
-  return total;
-}
-
 // Idle-advances `engine`'s platform to `t`. With dynamic conditions the
 // simulator advances too, so units cool and scripted events falling inside
 // the gap are applied on time. No-op if `t` has passed.
@@ -71,7 +62,7 @@ void IdleTo(core::EngineBase* engine, MicroSeconds t) {
 }  // namespace
 
 // One serving window: the state an outer driver holds open across
-// `Submit`/`StepRound` calls.
+// `Submit`/`StepRound` calls. Every KV-block decision goes through `kv`.
 struct IterationScheduler::Continuous {
   Continuous(core::EngineBase* engine, const SchedulerOptions& options,
              ServingMetrics* m)
@@ -80,14 +71,9 @@ struct IterationScheduler::Continuous {
         m(m),
         cfg(engine->model_config()),
         soc(engine->platform()->soc()),
-        bt(options.kv_block_tokens),
         spec_window(options.speculative_window),
         spec_rng(options.speculative_seed),
-        total_blocks(
-            CheckedTotalBlocks(cfg, options.kv_budget_bytes, bt)),
-        pool(cfg, bt, total_blocks, model::ExecutionMode::kSimulate),
-        prefix(&pool),
-        use_prefix(options.enable_prefix_cache),
+        kv(cfg, options),
         serial(options.iteration == IterationPolicy::kSerial),
         hybrid(options.iteration == IterationPolicy::kHybridChunked) {}
 
@@ -96,7 +82,6 @@ struct IterationScheduler::Continuous {
   ServingMetrics* m;
   const model::ModelConfig& cfg;
   sim::SocSimulator& soc;
-  const int64_t bt;
   // Speculative decoding: every decode iteration advances each selected
   // session by up to W+1 tokens through one batched verify pass; rejected
   // drafts roll back. Acceptance is drawn per draft from a seeded stream
@@ -105,17 +90,9 @@ struct IterationScheduler::Continuous {
   const int spec_window;
   Rng spec_rng;
 
-  // The KV budget carved into blocks. Blocks are allocated as tokens are
-  // appended, but admission still reserves each session's whole remaining
-  // footprint (prompt + decode, minus blocks adopted from the prefix
-  // cache): admitting on current occupancy alone invites mid-decode
-  // exhaustion and eviction churn that discards decoded progress. The
-  // block-granular win is that shared prefix blocks are counted once
-  // across sessions.
-  const int64_t total_blocks;
-  KvBlockPool pool;
-  PrefixCache prefix;
-  const bool use_prefix;
+  // The KV blocks: pool, prefix cache, reservations, parked prompts and
+  // the pressure ladder (src/serve/kv_ledger.h).
+  KvLedger kv;
   // One conversation at a time (IterationPolicy::kSerial): admission stops
   // while a session is active.
   const bool serial;
@@ -126,24 +103,10 @@ struct IterationScheduler::Continuous {
 
   struct Slot {
     size_t idx = 0;  // index into requests/metrics
-    std::unique_ptr<KvCache> cache;
-    int64_t footprint = 0;  // max blocks this session will ever hold
+    KvCache* cache = nullptr;  // owned by the ledger
     int decoded = 0;
     int64_t last_iter = -1;  // round-robin fairness key
   };
-
-  // Preempted hybrid sessions park their cache here instead of dropping it:
-  // decode progress is rolled back to the prompt boundary (the emitted
-  // stream restarts anyway) but committed prompt chunks survive, so
-  // re-admission resumes at the next chunk. Keyed by request index; `stamp`
-  // orders drops (least recently parked first) when admission pressure has
-  // to reclaim parked blocks too.
-  struct ParkedPrompt {
-    std::unique_ptr<KvCache> cache;
-    int64_t stamp = 0;
-  };
-  std::map<size_t, ParkedPrompt> parked;
-  int64_t parked_stamp = 0;
 
   // Grows as requests are submitted. Indices are stable, so they key slots
   // and metrics.
@@ -169,18 +132,6 @@ struct IterationScheduler::Continuous {
     rm.prompt_tokens = r.prompt_len;
     m->requests.push_back(rm);
     was_admitted.push_back(false);
-  }
-
-  // Dynamic-conditions degradation. Both knobs are exactly neutral while no
-  // condition has engaged (scale 1.0, factors 1.0), so the default serving
-  // path is untouched.
-  //
-  // A scripted `kv_budget_scale` shrinks the pool's usable-block soft cap;
-  // new allocations are deferred (active sessions keep their blocks — we
-  // degrade, not abort).
-  void ApplyKvSqueeze() {
-    pool.set_usable_blocks(static_cast<int64_t>(
-        std::floor(total_blocks * soc.kv_budget_scale() + 1e-9)));
   }
 
   // Effective decode batch: throttled units decode slower, so cap the batch
@@ -211,48 +162,22 @@ struct IterationScheduler::Continuous {
            static_cast<int64_t>(requests[slot.idx].prompt_len);
   }
 
+  // Preempts `active[slot_pos]`. Under kHybridChunked chunk state persists
+  // across preemption: decode progress rolls back to the prompt boundary
+  // and the committed prompt blocks park, so re-admission resumes at the
+  // next chunk instead of re-prefilling. Otherwise the cache is dropped
+  // (blocks also pinned by the prefix cache stay resident).
   void Evict(size_t slot_pos) {
-    Slot& victim = active[slot_pos];
+    const Slot& victim = active[slot_pos];
     RequestMetrics& vm = m->requests[victim.idx];
     ++vm.evictions;
     vm.decoded_tokens = 0;  // progress is discarded with the cache
-    if (hybrid) {
-      // Chunk state persists across preemption: decode progress rolls back
-      // to the prompt boundary and the committed prompt blocks park, so
-      // re-admission resumes at the next chunk instead of re-prefilling.
-      const int64_t keep = std::min<int64_t>(
-          victim.cache->length(), requests[victim.idx].prompt_len);
-      if (keep > 0) {
-        victim.cache->RollbackTo(keep);
-        parked[victim.idx] = ParkedPrompt{std::move(victim.cache),
-                                          parked_stamp++};
-      }
-    }
+    kv.Release(victim.idx,
+               hybrid ? std::min<int64_t>(victim.cache->length(),
+                                          requests[victim.idx].prompt_len)
+                      : 0);
     waiting.push_back(victim.idx);
-    // Destroying the cache releases its blocks; blocks also pinned by the
-    // prefix cache stay resident (and become evictable LRU entries).
     active.erase(active.begin() + static_cast<ptrdiff_t>(slot_pos));
-  }
-
-  // Drops the least recently parked prompt state — its blocks return to the
-  // pool and the owner re-prefills from scratch when re-admitted. `keep` is
-  // the request currently being admitted: its parked cache is about to be
-  // resumed, never sacrificed. Returns false with nothing else parked.
-  bool DropOneParked(size_t keep) {
-    auto oldest = parked.end();
-    for (auto it = parked.begin(); it != parked.end(); ++it) {
-      if (it->first == keep) {
-        continue;
-      }
-      if (oldest == parked.end() || it->second.stamp < oldest->second.stamp) {
-        oldest = it;
-      }
-    }
-    if (oldest == parked.end()) {
-      return false;
-    }
-    parked.erase(oldest);  // cache destructs: blocks return to the pool
-    return true;
   }
 
   // The active session with the most remaining decode work (least sunk
@@ -272,30 +197,6 @@ struct IterationScheduler::Continuous {
     return victim;
   }
 
-  // Blocks already promised to active sessions but not yet allocated.
-  // Free blocks behind this line are spoken for: decode growth must never
-  // fail (outside a scripted KV squeeze), so admission only spends
-  // `available - headroom`.
-  int64_t Headroom() const {
-    int64_t reserved = 0;
-    for (const Slot& slot : active) {
-      reserved += slot.footprint - slot.cache->held_blocks();
-    }
-    return reserved;
-  }
-
-  // Whole reservations of every active session (held + headroom). Shared
-  // prefix blocks adopted by several sessions are counted once per holder,
-  // which makes the single-eviction feasibility check below conservative —
-  // never optimistic.
-  int64_t ReservedBlocks() const {
-    int64_t reserved = 0;
-    for (const Slot& slot : active) {
-      reserved += slot.footprint;
-    }
-    return reserved;
-  }
-
   // Position in `waiting` the admission policy considers next: the front
   // under kFifo (submission order); the highest-priority entry, FIFO among
   // equals, under kPriority.
@@ -312,11 +213,10 @@ struct IterationScheduler::Continuous {
     return best;
   }
 
-  // Admits the policy-chosen waiting request if the pool can cover its
-  // whole remaining footprint, evicting cached prefixes and preempting at
-  // most one active session if needed; outside kHybridChunked it also
-  // prefills the whole prompt. Returns true on admission. Under kSerial
-  // nothing is admitted while a session is active.
+  // Admits the policy-chosen waiting request if the ledger can reserve its
+  // whole remaining footprint; outside kHybridChunked it also prefills the
+  // whole prompt. Returns true on admission. Under kSerial nothing is
+  // admitted while a session is active.
   bool TryAdmit() {
     if (waiting.empty() || (serial && !active.empty())) {
       return false;
@@ -324,112 +224,45 @@ struct IterationScheduler::Continuous {
     const size_t wpos = PickWaiting();
     const size_t idx = waiting[wpos];
     const Request& r = requests[idx];
-    // Decoding sessions carry the speculative draft window on top of their
-    // conversation: a verify step transiently appends window+1 rows before
-    // rolling the rejected suffix back, and admission must reserve that
-    // high-water mark or a full pool would abort mid-verify.
-    const int64_t spec_slack = r.decode_len > 0 ? spec_window : 0;
-    // Livelock guard: a conversation that cannot fit the whole budget even
-    // alone would evict forever.
-    HCHECK_MSG(
-        KvCache::BlocksForTokens(r.prompt_len + r.decode_len + spec_slack,
-                                 bt) <= total_blocks,
-        "request KV footprint exceeds the whole budget");
-
-    // A parked mid-prompt cache (hybrid preemption) is resumed, not
-    // rebuilt: its committed blocks discount the footprint exactly like
-    // adopted prefix blocks do, and the prefix lookup is skipped — the
-    // parked cache already holds any cached head it once adopted.
-    const auto parked_it = parked.find(idx);
-    const bool resuming = parked_it != parked.end();
-    // Prefix lookup pins matched blocks (refs held by us until adopted or
-    // released below).
-    PrefixCache::Match hit;
-    if (!resuming && use_prefix && !r.prompt_tokens.empty()) {
-      hit = prefix.Acquire(r.prompt_tokens);
-    }
-    // Blocks this session will allocate over its whole life: residual
-    // prompt plus every decode token. Adopted prefix blocks are already
-    // allocated (and pinned by the Acquire above), so they are excluded —
-    // that subtraction is what lets a shared head admit more sessions than
-    // whole-footprint reservation per session would.
-    const int64_t footprint = KvCache::BlocksForTokens(
-        r.prompt_len + r.decode_len + spec_slack, bt);
-    const int64_t held = resuming
-                             ? parked_it->second.cache->held_blocks()
-                             : static_cast<int64_t>(hit.blocks.size());
-    const int64_t need = footprint - held;
-
-    auto release_hit = [&] {
-      for (int32_t b : hit.blocks) {
-        pool.ReleaseBlock(b);
-      }
-    };
+    // Admission's preemption rung: at most one victim, only for a newcomer
+    // (a request that has already held a slot queues instead — prevents
+    // eviction ping-pong), and only when one eviction makes room.
     bool preempted = false;
-    while (pool.available_blocks() - Headroom() < need) {
-      // The usable-block cap, re-checked on every pass: eviction frees
-      // physical blocks but never raises the cap, so once need + Headroom()
-      // exceeds usable_blocks() (a KV squeeze shrank the cap under the
-      // reservations) no amount of prefix eviction can admit this request —
-      // only preemption, which shrinks the headroom itself, still can.
-      const bool cap_feasible = need + Headroom() <= pool.usable_blocks();
-      // Cheapest memory first: drop LRU unpinned cached prefixes.
-      if (cap_feasible && prefix.EvictUntilFree(need + Headroom()) > 0) {
-        continue;
-      }
-      // Then other requests' parked mid-prompt state (they re-prefill).
-      if (cap_feasible && DropOneParked(idx)) {
-        continue;
-      }
-      // Then preempt at most one session, and only for a newcomer (a
-      // request that has already held a slot queues instead — prevents
-      // eviction ping-pong).
+    const KvLedger::Admission admitted = kv.Admit(idx, r, [&] {
       if (preempted || was_admitted[idx] || active.empty()) {
-        release_hit();
         return false;
       }
       const size_t victim = PickVictim();
-      if (ReservedBlocks() - active[victim].footprint + footprint >
-          pool.usable_blocks()) {
-        release_hit();
-        return false;  // one eviction would not make room
+      if (!kv.FitsWithout(active[victim].idx, kv.Footprint(r))) {
+        return false;
       }
       Evict(victim);
       preempted = true;
+      return true;
+    });
+    if (admitted.cache == nullptr) {
+      return false;
     }
 
     waiting.erase(waiting.begin() + static_cast<ptrdiff_t>(wpos));
-    Slot slot;
-    slot.idx = idx;
-    slot.footprint = footprint;
-    if (resuming) {
-      slot.cache = std::move(parked_it->second.cache);
-      parked.erase(parked_it);
-    } else {
-      slot.cache = std::make_unique<KvCache>(pool.MakeCache(
-          r.prompt_len + std::max(r.decode_len, 1) + spec_slack));
-      if (!hit.blocks.empty()) {
-        slot.cache->AdoptPrefix(hit.blocks, hit.tokens);  // refs transferred
-      }
-    }
     was_admitted[idx] = true;
     m->requests[idx].admitted = engine->host_now();
-    const int64_t committed = slot.cache->length();
-    m->prefilled_tokens += r.prompt_len - (resuming ? committed : 0);
-    if (resuming) {
+    const int64_t committed = admitted.cache->length();
+    m->prefilled_tokens += r.prompt_len - (admitted.resumed ? committed : 0);
+    if (admitted.resumed) {
       m->chunk_resumed_tokens += committed;
     } else {
-      m->prefix_hit_tokens += hit.tokens;
+      m->prefix_hit_tokens += committed;
     }
-    active.push_back(std::move(slot));
+    active.push_back(Slot{idx, admitted.cache});
     if (!hybrid) {
       // Whole-prompt prefill. Only the rows past the adopted prefix run (and
       // are priced); RoPE offsets and attention spans start at the cache
       // length. Under kHybridChunked admission is just the slot setup: the
       // prompt prefills as chunks inside the following rounds.
       engine->Execute(core::Batch::Deferred(
-          core::Phase::kPrefill, {active.back().cache.get()},
-          r.prompt_len - committed, cfg.hidden));
+          core::Phase::kPrefill, {admitted.cache}, r.prompt_len - committed,
+          cfg.hidden));
       CommitPrompt(active.size() - 1);
     }
     m->peak_active_sessions =
@@ -439,25 +272,23 @@ struct IterationScheduler::Continuous {
 
   // The prompt of `active[pos]` has fully committed — whole at admission or
   // by its last chunk. TTFT stamps here, the committed prompt becomes
-  // prefix-cache currency, and a decode-less request completes (its slot's
-  // cache destructs: blocks return to the pool).
+  // prefix-cache currency, and a decode-less request completes (its blocks
+  // return to the pool).
   void CommitPrompt(size_t pos) {
-    const Slot& slot = active[pos];
-    const Request& r = requests[slot.idx];
-    RequestMetrics& rm = m->requests[slot.idx];
+    const size_t idx = active[pos].idx;
+    const Request& r = requests[idx];
+    RequestMetrics& rm = m->requests[idx];
     rm.first_token = engine->host_now();
-    if (use_prefix && !r.prompt_tokens.empty()) {
-      prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
-                    slot.cache->length());
-    }
+    kv.CommitPrompt(idx, r.prompt_tokens);
     if (r.decode_len == 0) {
-      Complete(slot.idx, rm.first_token);
+      Complete(idx, rm.first_token);
       active.erase(active.begin() + static_cast<ptrdiff_t>(pos));
     }
   }
 
-  // Request `idx` finished at `t`.
+  // Request `idx` finished at `t`; its blocks return to the pool.
   void Complete(size_t idx, MicroSeconds t) {
+    kv.Release(idx);
     m->requests[idx].completion = t;
     ++completed;
     completions.push_back({requests[idx].id, t});
@@ -486,72 +317,57 @@ struct IterationScheduler::Continuous {
   }
 
   // Decode/verify rows reserved for one engine pass: the selected sessions
-  // whose caches took the step's blocks (positions in `active`) and the
-  // rows each appends — 1, or the draft window + 1 under speculation.
+  // (positions in `active`) and the rows each appends — 1, or the draft
+  // window + 1 under speculation.
   struct DecodeRows {
-    std::vector<size_t> ready;
-    std::vector<KvCache*> caches;
+    std::vector<size_t> slots;
     int64_t rows = 1;
-    int64_t total() const {
-      return static_cast<int64_t>(caches.size()) * rows;
-    }
   };
 
   // Reserves one batched decode (or speculative verify) step for the
-  // round-robin-selected sessions. Comes back with no sessions — nothing
-  // reserved — only when none is decoding, or the pool cannot supply the
-  // next block(s) and no recovery move is left; the caller then waits for
-  // the next condition event (only a scripted KV squeeze can pin the pool
-  // under the admission-time reservations).
+  // round-robin-selected sessions, block-exactly, before the engine opens
+  // the transactional steps. Admission reserved those blocks, so the
+  // ledger's ladder only has work when a scripted KV squeeze shrank the
+  // usable pool under the reservations. Comes back with no sessions —
+  // nothing reserved — when none is decoding or no rung is left; the
+  // caller then waits for the next condition event.
   DecodeRows ReserveDecode() {
     std::vector<size_t> order = SelectOrder();
-    DecodeRows d;
-    // Under pool pressure the speculative window is shed first — degrading
-    // to plain decode is cheaper than evicting a session.
-    d.rows = spec_window > 0 ? spec_window + 1 : 1;
-    // Allocate-on-append: this iteration appends `rows` tokens per selected
-    // session, which may need fresh blocks (including a copy-on-write fork
-    // of a shared tail — BlocksNeededFor counts it exactly as BeginStep
-    // consumes it). Admission reserved those, so this loop only trips when
-    // a scripted KV squeeze shrank the usable pool under the reservations.
-    // Make room *before* the engine opens the transactional steps.
-    auto blocks_needed = [&] {
+    int64_t rows = spec_window > 0 ? spec_window + 1 : 1;
+    KvLedger::Pressure pressure;
+    // Allocate-on-append: each selected session appends `rows` tokens,
+    // which may need fresh blocks (and a copy-on-write fork of a shared
+    // tail — BlocksNeededFor counts it exactly as BeginStep consumes it).
+    pressure.want = [&] {
       int64_t n = 0;
       for (size_t s : order) {
-        n += active[s].cache->BlocksNeededFor(d.rows);
+        n += active[s].cache->BlocksNeededFor(rows);
       }
       return n;
     };
-    while (blocks_needed() > pool.available_blocks()) {
-      if (prefix.EvictUntilFree(blocks_needed()) > 0) {
-        continue;
+    // Degrading to plain decode is cheaper than evicting a session.
+    pressure.shed = [&] {
+      if (rows == 1) {
+        return false;
       }
-      if (d.rows > 1) {
-        d.rows = 1;
-        continue;
+      rows = 1;
+      return true;
+    };
+    pressure.preempt = [&] {
+      if (active.size() <= 1) {
+        return false;
       }
-      if (active.size() > 1) {
-        Evict(PickVictim());
-        order = SelectOrder();
-        continue;
-      }
-      return d;
+      Evict(PickVictim());
+      order = SelectOrder();
+      return true;
+    };
+    if (!kv.Relieve(pressure)) {
+      return {};
     }
-    // Reserve block-exactly per session before the engine opens the
-    // transactional steps. TryReserveStep either takes every block the step
-    // needs or takes none and reports failure, and it is idempotent — the
-    // BeginStep inside the engine then allocates nothing. A session that
-    // cannot reserve (a squeeze racing the aggregate check above) sits this
-    // iteration out instead of aborting the process.
-    d.ready.reserve(order.size());
-    d.caches.reserve(order.size());
     for (size_t s : order) {
-      if (active[s].cache->TryReserveStep(d.rows)) {
-        d.ready.push_back(s);
-        d.caches.push_back(active[s].cache.get());
-      }
+      kv.ReserveStep(active[s].cache, rows);
     }
-    return d;
+    return {std::move(order), rows};
   }
 
   // The decode epilogue once the engine pass has appended `d`'s rows:
@@ -560,11 +376,11 @@ struct IterationScheduler::Continuous {
   void FinishDecode(const DecodeRows& d) {
     ++iter;
     ++m->decode_iterations;
-    batch_accum += static_cast<double>(d.ready.size());
+    batch_accum += static_cast<double>(d.slots.size());
     const MicroSeconds now = engine->host_now();
     const int k = static_cast<int>(d.rows) - 1;  // drafts verified per session
     std::vector<size_t> done;
-    for (size_t s : d.ready) {
+    for (size_t s : d.slots) {
       Slot& slot = active[s];
       slot.last_iter = iter;
       RequestMetrics& rm = m->requests[slot.idx];
@@ -635,24 +451,16 @@ struct IterationScheduler::Continuous {
     if (pick == active.size()) {
       return {};
     }
-    Slot& slot = active[pick];
+    const Slot& slot = active[pick];
     const int64_t len = std::min(max_tokens, pick_left);
-    // Block pressure mirrors ReserveDecode: make room before the engine
-    // opens the transactional step, shedding cached prefixes and parked
-    // prompt state; TryReserveStep then either takes every block or none.
-    while (slot.cache->BlocksNeededFor(len) > pool.available_blocks()) {
-      if (prefix.EvictUntilFree(slot.cache->BlocksNeededFor(len)) > 0) {
-        continue;
-      }
-      if (DropOneParked(slot.idx)) {
-        continue;
-      }
+    KvLedger::Pressure pressure;
+    pressure.want = [&] { return slot.cache->BlocksNeededFor(len); };
+    pressure.keep = slot.idx;
+    if (!kv.Relieve(pressure)) {
       return {};  // squeezed: wait for the next condition event
     }
-    if (!slot.cache->TryReserveStep(len)) {
-      return {};
-    }
-    return {slot.idx, slot.cache.get(), len};
+    kv.ReserveStep(slot.cache, len);
+    return {slot.idx, slot.cache, len};
   }
 
   // The chunk epilogue once the engine pass has appended `c`'s rows.
@@ -683,22 +491,28 @@ struct IterationScheduler::Continuous {
   bool Iteration() {
     const DecodeRows decode = ReserveDecode();
     const ChunkRows chunk = ReserveChunk(std::max<int64_t>(
-        1, options.prefill_chunk_tokens - decode.total()));
-    const bool decoding = !decode.caches.empty();
+        1, options.prefill_chunk_tokens -
+               static_cast<int64_t>(decode.slots.size()) * decode.rows));
+    const bool decoding = !decode.slots.empty();
+    std::vector<KvCache*> caches;
+    caches.reserve(decode.slots.size());
+    for (size_t s : decode.slots) {
+      caches.push_back(active[s].cache);
+    }
     if (chunk.cache == nullptr) {
       if (!decoding) {
         return false;
       }
       engine->Execute(core::Batch::Deferred(core::Phase::kDecode,
-                                            decode.caches, decode.rows,
+                                            caches, decode.rows,
                                             cfg.hidden));
     } else if (!decoding) {
       engine->Execute(core::Batch::Deferred(core::Phase::kPrefill,
                                             {chunk.cache}, chunk.rows,
                                             cfg.hidden));
     } else {
-      engine->Execute(core::Batch::Hybrid(chunk.cache, chunk.rows,
-                                          decode.caches, decode.rows,
+      engine->Execute(core::Batch::Hybrid(chunk.cache, chunk.rows, caches,
+                                          decode.rows,
                                           cfg.hidden));
       ++m->hybrid_iterations;
     }
@@ -729,7 +543,7 @@ struct IterationScheduler::Continuous {
     if (!HasWork()) {
       return false;
     }
-    ApplyKvSqueeze();
+    kv.ApplyKvSqueeze(soc.kv_budget_scale());
     AdmitArrivals();
     // Drain the admissible head of the queue: kPrefillFirst prefills each
     // admission whole, kHybridChunked admissions are cheap slot setups, and
@@ -747,33 +561,19 @@ struct IterationScheduler::Continuous {
             "further condition events");
       }
     } else if (!waiting.empty()) {
-      // Nothing is running, so (modulo cached prefixes, which TryAdmit
-      // evicts on demand) the whole pool is free and the head request must
-      // be admissible — its footprint was HCHECKed against the budget;
-      // admit rather than stall. The exception: a scripted KV squeeze can
-      // make even an empty platform inadmissible.
-      const bool admitted = TryAdmit();
-      if (!admitted && soc.kv_budget_scale() < 1.0) {
-        WaitForConditionEvent(
-            "serving stalled: KV budget squeezed below the head request "
-            "with no further condition events");
-        return true;
-      }
-      HCHECK_MSG(admitted,
+      // Nothing is running and the head request still failed admission,
+      // though admission may evict every cached prefix and parked prompt
+      // and its footprint was HCHECKed against the whole budget — only a
+      // scripted KV squeeze can do that.
+      HCHECK_MSG(soc.kv_budget_scale() < 1.0,
                  "serving stalled: waiting requests but nothing admissible");
+      WaitForConditionEvent(
+          "serving stalled: KV budget squeezed below the head request with "
+          "no further condition events");
     } else if (next_arrival < requests.size()) {
       IdleTo(engine, requests[next_arrival].arrival);
     }
     return true;
-  }
-
-  // Window-level derived stats, once no rounds remain.
-  void Finish() {
-    if (m->decode_iterations > 0) {
-      m->avg_decode_batch = batch_accum / m->decode_iterations;
-    }
-    m->blocks_evicted = prefix.evicted_blocks();
-    m->kv_blocks_peak = pool.peak_used_blocks();
   }
 };
 
@@ -830,10 +630,14 @@ ServingMetrics IterationScheduler::EndWindow() {
   HCHECK_MSG(!cont_->HasWork(),
              "EndWindow() with unfinished requests — step the window dry "
              "first");
-  cont_->Finish();
-  cont_.reset();  // pool + prefix cache release their blocks pre-drain
-  // Let straggling device queues drain so utilization covers real work only.
   ServingMetrics& m = window_metrics_;
+  if (m.decode_iterations > 0) {
+    m.avg_decode_batch = cont_->batch_accum / m.decode_iterations;
+  }
+  m.blocks_evicted = cont_->kv.evicted_blocks();
+  m.kv_blocks_peak = cont_->kv.peak_used_blocks();
+  cont_.reset();  // the ledger releases every block pre-drain
+  // Let straggling device queues drain so utilization covers real work only.
   sim::SocSimulator& soc = engine_->platform()->soc();
   soc.DrainAll();
   engine_->AdvanceHostTo(soc.now());
@@ -879,10 +683,11 @@ int IterationScheduler::waiting_requests() const {
 
 int64_t IterationScheduler::ProbePrefixTokens(
     const std::vector<int32_t>& prompt) const {
-  if (cont_ == nullptr || !cont_->use_prefix) {
-    return 0;
-  }
-  return cont_->prefix.ProbeTokens(prompt);
+  return cont_ == nullptr ? 0 : cont_->kv.ProbePrefixTokens(prompt);
+}
+
+Status IterationScheduler::CheckInvariants() const {
+  return cont_ == nullptr ? Status::Ok() : cont_->kv.CheckInvariants();
 }
 
 MicroSeconds IterationScheduler::now() const { return engine_->host_now(); }

@@ -9,19 +9,22 @@
 // per-session. Serial session replay streams the full weight set once per
 // token per user; continuous batching streams it once per iteration.
 //
-// KV memory is managed at *block* granularity (src/serve/kv_pool.h): the
-// budget is carved into fixed-size token blocks, a session allocates blocks
-// as tokens are appended (not its whole-conversation footprint up front),
-// and committed prompt blocks feed a cross-request prefix cache
-// (src/serve/prefix_cache.h) — a request whose prompt head is cached adopts
-// those blocks and prefills only the residual tokens. Under pressure the
-// scheduler first evicts unpinned cached prefixes (LRU), then preempts an
-// active session; an evicted session drops its cache and restarts from
-// prefill when re-admitted — except under `IterationPolicy::kHybridChunked`,
-// which parks the committed prompt blocks so re-admission resumes at the
-// next prefill chunk.
+// KV memory is managed at *block* granularity, and every block decision
+// goes through one KV ledger per window (src/serve/kv_ledger.h): it carves
+// the budget into token blocks (src/serve/kv_pool.h) that sessions allocate
+// as tokens are appended, shares committed prompt blocks through a prefix
+// cache (src/serve/prefix_cache.h), reserves each admitted session's whole
+// footprint, and keeps the parked prompts of preempted
+// `IterationPolicy::kHybridChunked` sessions so re-admission resumes at
+// the next prefill chunk (other policies drop the cache and re-prefill).
+// Admission, the decode step and the prefill chunk relieve block pressure
+// through the ledger's one ladder: evict cached prefixes, shed the
+// speculative window (decode), drop parked prompts, preempt a session (the
+// scheduler picks the victim), else wait for the next condition event. The
+// scheduler keeps the requests, the active and waiting sessions, batch and
+// victim selection, the rounds and the metrics.
 //
-// Every policy is served through one window (the KV pool, prefix cache and
+// Every policy is served through one window (the ledger and the
 // active/waiting session state live *in the scheduler*):
 //
 //   * `BeginWindow` / `Submit` / `StepRound` / `EndWindow` let an outer
@@ -211,6 +214,10 @@ class IterationScheduler {
   // (0 with no open window or a disabled cache). Non-mutating — the
   // router's per-replica affinity estimate.
   int64_t ProbePrefixTokens(const std::vector<int32_t>& prompt) const;
+  // Audits the open window's KV block accounting (`KvLedger::
+  // CheckInvariants`, src/serve/kv_ledger.h); OK with no open window. Call
+  // between rounds — tests and the stress suite do; serving rounds do not.
+  Status CheckInvariants() const;
   // The replica-local simulated clock (engine host time).
   MicroSeconds now() const;
   // Idle-advances the replica to `t` (device cooling and scripted condition

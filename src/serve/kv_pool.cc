@@ -91,6 +91,15 @@ int KvBlockPool::ref_count(int32_t block) const {
   return b.refs;
 }
 
+std::vector<int> KvBlockPool::RefCounts() const {
+  std::vector<int> refs;
+  refs.reserve(blocks_.size());
+  for (const Block& b : blocks_) {
+    refs.push_back(b.refs);
+  }
+  return refs;
+}
+
 int32_t KvBlockPool::ForkBlock(int32_t src, int64_t rows) {
   HCHECK(src >= 0 && src < total_blocks_);
   HCHECK(rows >= 0 && rows <= block_tokens_);

@@ -65,6 +65,8 @@ class KvBlockPool : public model::KvBlockBacking {
   int64_t peak_used_blocks() const { return peak_used_blocks_; }
   // Copy-on-write forks performed.
   int64_t cow_forks() const { return cow_forks_; }
+  // Every block's refcount, 0 for free blocks (an accounting audit).
+  std::vector<int> RefCounts() const;
 
   // Soft cap for runtime budget squeezes; clamped to [0, total_blocks].
   void set_usable_blocks(int64_t usable);

@@ -78,6 +78,20 @@ void PrefixCache::Insert(const std::vector<int32_t>& prompt,
   }
 }
 
+std::vector<int32_t> PrefixCache::blocks() const {
+  std::vector<int32_t> out;
+  std::vector<const Node*> stack = {&root_};
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    for (const auto& [key, child] : node->children) {
+      out.push_back(child->block);
+      stack.push_back(child.get());
+    }
+  }
+  return out;
+}
+
 bool PrefixCache::EvictLruLeaf() {
   // Walk the whole trie for the least-recently-touched leaf whose block
   // only the cache still references. Linear in cache size — fine at the

@@ -68,6 +68,9 @@ class PrefixCache {
   // Drops every unpinned entry. Returns the number of blocks freed.
   int64_t EvictAll();
 
+  // The block of every cached entry (each holds one pin on it).
+  std::vector<int32_t> blocks() const;
+
   // Blocks currently held (pinned on behalf of) the cache.
   int64_t cached_blocks() const { return cached_blocks_; }
   // Cumulative blocks evicted over the cache's lifetime.

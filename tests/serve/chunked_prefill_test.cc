@@ -486,6 +486,54 @@ TEST(HybridChunkedTest, KvSqueezeShedsWindowPreemptsAndWaitsForLift) {
   EXPECT_EQ(m.chunk_resumed_tokens, 0);
 }
 
+// The decode side's pressure ladder drops parked prompts before it gives
+// up. A decoding chat (4-block footprint) and a document (12 blocks) fill a
+// 16-block pool; when the usable cap halves, the chat's next block is
+// missing. The decode side preempts the document (the chat is then the only
+// active session), which parks its 8 prompt blocks. With no further
+// session to preempt, the ladder drops that parked prompt, so the chat
+// decodes to completion under the squeeze instead of idling until the lift
+// while the parked blocks sit unused. The document re-prefills from scratch
+// once the cap is restored.
+TEST(HybridChunkedTest, DecodeDropsParkedPromptUnderKvSqueeze) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  constexpr MicroSeconds kLift = 50e3;
+  sim::ConditionEvent squeeze;
+  squeeze.time = 6.8e3;
+  squeeze.kv_budget_scale = 0.5;
+  sim::ConditionEvent lift;
+  lift.time = kLift;
+  lift.kv_budget_scale = 1.0;
+
+  ReplicaOptions ropts;
+  ropts.platform = core::PlatformOptionsFor(kEngine);
+  ropts.platform.conditions = {squeeze, lift};
+  ropts.engine = kEngine;
+  ropts.scheduler.iteration = IterationPolicy::kHybridChunked;
+  ropts.scheduler.prefill_chunk_tokens = 256;
+  ropts.scheduler.speculative_window = 3;
+  ropts.scheduler.kv_budget_bytes = KvCache::BytesForTokens(cfg, 16 * 16);
+  auto replica = Replica::Create(ropts, &weights);
+  ASSERT_TRUE(replica.ok());
+
+  const std::vector<Request> reqs = {Request::Chat(0, 0, 16, 40),
+                                     Request::Chat(1, 6e3, 128, 48)};
+  const ServingMetrics m = (*replica)->Serve(RequestQueue(reqs));
+
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(m.requests[i].decoded_tokens, reqs[i].decode_len);
+  }
+  EXPECT_LT(m.requests[0].completion, kLift);
+  EXPECT_EQ(m.requests[0].evictions, 0);
+  EXPECT_EQ(m.requests[1].evictions, 1);
+  // The parked prompt was dropped: the document's 128 prompt tokens run
+  // through chunks twice and nothing resumes.
+  EXPECT_EQ(m.chunk_resumed_tokens, 0);
+  EXPECT_EQ(m.chunked_prefill_tokens, 16 + 128 + 128);
+}
+
 // The headline scheduling property: under mixed long-prompt/short-decode
 // traffic, hybrid chunking bounds the decode stall behind any prefill to
 // one chunk, so the TPOT tail beats prefill-first on the same trace.

@@ -125,6 +125,47 @@ void PrintComputeKernels(report::BenchReport& report) {
   }
   benchx::EmitTable(report, "kernel_speedups", table);
 
+  // Weight synthesis: QuantizedTensor::Random draws each (group x
+  // 64-column) tile's Gaussians at its offset in the stream and quantizes
+  // them in place. The same kernel runs at every thread count (there is no
+  // separate scalar path), so its speedup is the core count alone and is
+  // gated loosely; its codes and scales must not move at all.
+  const Shape synth_shape({896, 2048});
+  auto synthesize = [&](int threads, QuantizedTensor* out) {
+    KernelThreadScope scope(threads);
+    return TimeSeconds([&] {
+      Rng stream(11);
+      *out = QuantizedTensor::Random(synth_shape, stream, 0.1f);
+    });
+  };
+  QuantizedTensor synth1, synth8;
+  const double synth1_s = synthesize(1, &synth1);
+  const double synth8_s = synthesize(8, &synth8);
+  float synth_diff = 0;
+  for (int64_t i = 0; i < synth_shape.numel(); ++i) {
+    synth_diff = std::max(
+        synth_diff, std::fabs(static_cast<float>(synth1.codes_data()[i]) -
+                              static_cast<float>(synth8.codes_data()[i])));
+  }
+  const int64_t synth_scales = synth_shape.numel() / synth1.group_size();
+  for (int64_t i = 0; i < synth_scales; ++i) {
+    synth_diff = std::max(synth_diff, std::fabs(synth1.scales_data()[i] -
+                                                synth8.scales_data()[i]));
+  }
+  const double synth_speedup = synth8_s > 0 ? synth1_s / synth8_s : 0;
+  TextTable synth_table(
+      {"kernel", "1t ms", "8t ms", "speedup", "max |diff| codes+scales"});
+  synth_table.AddRow({"weight_synthesis", StrFormat("%.3f", synth1_s * 1e3),
+                      StrFormat("%.3f", synth8_s * 1e3),
+                      StrFormat("%.2fx", synth_speedup),
+                      StrFormat("%g", synth_diff)});
+  report.AddMetric("compute_kernels.weight_synthesis.speedup_8t",
+                   synth_speedup, benchx::HigherIsBetter("x", 0.8));
+  report.AddMetric("compute_kernels.weight_synthesis.max_abs_diff",
+                   static_cast<double>(synth_diff),
+                   benchx::Calibration("abs", 0.0));
+  benchx::EmitTable(report, "weight_synthesis", synth_table);
+
   // Fused W4A16 matmul: MatmulQuant dequantizes the int4 codes in
   // registers, next to the dense kernel over the weight's FP32 image
   // dequantized outside the timer (what a cached image would cost per

@@ -69,6 +69,10 @@ void ThreadPool::WorkerLoop() {
         return;
       }
       seen_epoch = epoch_;
+      if (joined_ == helpers_) {
+        continue;  // the job already has every executor it asked for
+      }
+      ++joined_;
       // Counted as a participant from here until the second locked section;
       // the job owner cannot tear the job state down while active_ > 0, so
       // the unlocked reads inside RunChunks stay on this job's fields.
@@ -107,11 +111,18 @@ void ThreadPool::ParallelFor(int64_t count, int64_t threads, int64_t grain,
     body(0, count);
     return;
   }
-  EnsureWorkers(static_cast<int>(std::min<int64_t>(threads, num_chunks) - 1));
+  // The caller is one executor; at most this many pooled workers join, so
+  // a job never runs on more threads than it asked for, however many
+  // workers earlier, wider jobs spawned.
+  const int helpers =
+      static_cast<int>(std::min<int64_t>(threads, num_chunks) - 1);
+  EnsureWorkers(helpers);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     HCHECK_MSG(!busy_, "nested ThreadPool::ParallelFor on the same pool");
+    helpers_ = helpers;
+    joined_ = 0;
     body_ = &body;
     count_ = count;
     chunk_ = chunk;

@@ -36,9 +36,10 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Runs `body(begin, end)` over a partition of [0, count) using up to
-  // `threads` concurrent executors (the caller plus pooled workers), clamped
-  // to the hardware core count — oversubscribing CPU-bound kernels only adds
-  // context switches. Blocks until every chunk has completed. `grain` is the
+  // `threads` concurrent executors (the caller plus at most `threads` - 1
+  // pooled workers, even when more are parked), clamped to the hardware
+  // core count — oversubscribing CPU-bound kernels only adds context
+  // switches. Blocks until every chunk has completed. `grain` is the
   // minimum chunk length; chunks are sized so roughly 4 land on each
   // executor (cheap dynamic load balancing without shrinking chunks into
   // scheduling noise).
@@ -78,6 +79,8 @@ class ThreadPool {
   int64_t num_chunks_ = 0;
   int64_t chunks_done_ = 0;  // guarded by mu_
   int active_ = 0;           // workers inside RunChunks, guarded by mu_
+  int helpers_ = 0;          // workers the current job admits, guarded by mu_
+  int joined_ = 0;           // workers that joined it so far, guarded by mu_
   uint64_t epoch_ = 0;
   bool busy_ = false;
   std::atomic<int64_t> cursor_{0};  // next chunk index to claim

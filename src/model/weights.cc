@@ -20,7 +20,7 @@ QuantizedTensor MakeWeight(int64_t in, int64_t out, ExecutionMode mode,
   }
   // Xavier-ish scale keeps activations bounded through deep stacks.
   const float scale = 1.0f / std::sqrt(static_cast<float>(in));
-  return QuantizedTensor::Quantize(Tensor::Random(shape, rng, scale));
+  return QuantizedTensor::Random(std::move(shape), rng, scale);
 }
 
 Tensor MakeNorm(int64_t width, ExecutionMode mode, Rng& rng) {
@@ -41,8 +41,11 @@ Tensor MakeNorm(int64_t width, ExecutionMode mode, Rng& rng) {
 ModelWeights ModelWeights::Create(const ModelConfig& config,
                                   ExecutionMode mode, uint64_t seed,
                                   int kernel_threads) {
-  // Random weight generation consumes the RNG sequentially (determinism),
-  // but quantization parallelizes per column group under this scope.
+  // Tensors draw from one stream in declaration order, each exactly
+  // 4 * numel draws; within a weight, QuantizedTensor::Random jumps every
+  // (group x column) tile to its own offset and synthesizes the tiles in
+  // parallel under this scope, so no FP32 image of a weight is built and
+  // the bytes do not depend on the thread count.
   tensor::KernelThreadScope kernel_scope(kernel_threads);
   if (mode == ExecutionMode::kCompute) {
     HCHECK_MSG(config.param_count() < 5e7,

@@ -31,12 +31,13 @@ struct LayerWeights {
 
 class ModelWeights {
  public:
-  // Builds weights for `config`. In kCompute mode weights are materialized
-  // from `seed` (keep the config tiny); in kSimulate mode they are
-  // shape-only. `kernel_threads` pins the quantization kernels' thread
-  // count for the build (tensor::KernelOptions semantics: 0 = hardware
-  // concurrency, 1 = reference scalar path); the resulting codes and scales
-  // are bit-identical at every setting.
+  // Builds weights for `config`. In kCompute mode weights are synthesized
+  // from `seed` straight into int4 codes and scales, with no FP32 copy
+  // (keep the config tiny); in kSimulate mode they are shape-only.
+  // `kernel_threads` is the number of threads that synthesize the weights
+  // (tensor::KernelOptions semantics, 0 = hardware concurrency; synthesis
+  // has one kernel, so 1 simply runs it inline); the resulting codes and
+  // scales are bit-identical at every setting.
   static ModelWeights Create(const ModelConfig& config, ExecutionMode mode,
                              uint64_t seed = 1, int kernel_threads = 0);
 

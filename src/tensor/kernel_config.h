@@ -13,11 +13,19 @@
 // accumulation order, so the two paths agree bit-for-bit (MaxAbsDiff == 0)
 // at any thread count — tests/tensor/kernel_parity_test.cc pins this down.
 //
+// Quantization (QuantizedTensor::Quantize and the weight synthesis in
+// QuantizedTensor::Random) has a single (group x column-tile) kernel and no
+// separate scalar oracle: at 1 thread it runs inline. Its oracle is the
+// tiling itself (every code and scale is computed from its own group only)
+// and the pinned weight digests in tests/model/weights_test.cc.
+//
 // `num_threads` semantics:
 //   0  -> auto: blocked kernels on std::thread::hardware_concurrency()
 //         threads (the default — engines, serving and benches ride this);
 //   1  -> reference scalar kernels (the oracle);
-//   N  -> blocked kernels on N threads (N > 1).
+//   N  -> blocked kernels on at most N threads (N > 1): a job never runs on
+//         more pool threads than this, however many earlier, wider jobs
+//         spawned.
 //
 // The process-wide default is set with SetKernelOptions; KernelThreadScope
 // overrides it for the current thread (RAII), which is how EngineBase and

@@ -1,6 +1,7 @@
 #include "src/tensor/quant.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "src/common/math_util.h"
@@ -8,49 +9,136 @@
 
 namespace heterollm::tensor {
 
+namespace {
+
+// A quantization tile is one group tall and this many columns wide (one
+// cache line of codes per row).
+constexpr int64_t kTileCols = 64;
+
+// std::lround(x) for |x| < 2^23, as one add and a truncation: adding 0.5
+// minus half an ulp, with x's sign, and truncating rounds half away from
+// zero exactly (an exhaustive sweep over those floats agrees with lround).
+inline int RoundHalfAway(float x) {
+  return static_cast<int>(x + std::copysign(0.49999997f, x));
+}
+
+// Quantizes one tile held in `tile` (row stride kTileCols): one symmetric
+// scale per column to `scales`, codes to `codes` (row stride `cols`).
+// Every cell keeps the same per-element arithmetic whatever the tiling, so
+// the partition never changes a code or a scale. The inner loops always
+// run all kTileCols lanes (lanes past `n_cols` hold stale values and are
+// never stored), which lets the compiler vectorize them.
+void QuantizeTile(const float* tile, int64_t n_rows, int64_t n_cols,
+                  int64_t cols, int8_t* codes, float* scales) {
+  float max_abs[kTileCols] = {};
+  float non_finite[kTileCols] = {};  // stays 0 unless an inf or NaN is seen
+  for (int64_t r = 0; r < n_rows; ++r) {
+    const float* row = tile + r * kTileCols;
+    for (int64_t c = 0; c < kTileCols; ++c) {
+      max_abs[c] = std::max(max_abs[c], std::fabs(row[c]));
+      non_finite[c] += row[c] * 0.0f;
+    }
+  }
+  float scale[kTileCols];
+  // When every value is finite and the scale is normal, each quotient is
+  // at most 7 plus rounding, so codes can be rounded before they are
+  // clamped. A tile holding an infinity, a NaN or a column of only
+  // subnormal values (stale lanes included) clamps each quotient first;
+  // that keeps the lround result (NaN -> -8) without an out-of-range
+  // conversion.
+  bool tame = true;
+  for (int64_t c = 0; c < kTileCols; ++c) {
+    // Symmetric 4-bit range [-8, 7]; use 7 so +max is representable.
+    scale[c] = max_abs[c] > 0 ? max_abs[c] / 7.0f : 1.0f;
+    tame = tame && non_finite[c] == 0 &&
+           (max_abs[c] == 0 || max_abs[c] >= 7.0f * FLT_MIN);
+  }
+  std::copy_n(scale, n_cols, scales);
+  int8_t row_codes[kTileCols];
+  for (int64_t r = 0; r < n_rows; ++r) {
+    const float* row = tile + r * kTileCols;
+    if (tame) {
+      for (int64_t c = 0; c < kTileCols; ++c) {
+        const int code = RoundHalfAway(row[c] / scale[c]);
+        row_codes[c] = static_cast<int8_t>(std::min(7, std::max(-8, code)));
+      }
+    } else {
+      for (int64_t c = 0; c < kTileCols; ++c) {
+        const float x = std::min(7.0f, std::max(-8.0f, row[c] / scale[c]));
+        row_codes[c] = static_cast<int8_t>(RoundHalfAway(x));
+      }
+    }
+    std::copy_n(row_codes, n_cols, codes + r * cols);
+  }
+}
+
+}  // namespace
+
+QuantizedTensor QuantizedTensor::FromTiles(Shape shape, int group_size,
+                                           const TileFill& fill) {
+  HCHECK(shape.rank() == 2);
+  HCHECK(group_size > 0);
+  QuantizedTensor q = Deferred(std::move(shape), group_size);
+  const int64_t rows = q.shape_.rows();
+  const int64_t cols = q.shape_.cols();
+  q.codes_.resize(static_cast<size_t>(rows * cols));
+  q.scales_.resize(static_cast<size_t>(q.num_groups_ * cols));
+  int8_t* codes = q.codes_.data();
+  float* scales = q.scales_.data();
+  const int64_t col_tiles = DivCeil(cols, kTileCols);
+  KernelParallelFor(
+      q.num_groups_ * col_tiles, /*grain=*/1, [&](int64_t t0, int64_t t1) {
+        std::vector<float> tile(static_cast<size_t>(group_size * kTileCols));
+        for (int64_t t = t0; t < t1; ++t) {
+          const int64_t g = t / col_tiles;
+          const int64_t r0 = g * group_size;
+          const int64_t c0 = (t % col_tiles) * kTileCols;
+          const int64_t n_rows = std::min<int64_t>(group_size, rows - r0);
+          const int64_t n_cols = std::min(kTileCols, cols - c0);
+          fill(r0, n_rows, c0, n_cols, tile.data());
+          QuantizeTile(tile.data(), n_rows, n_cols, cols,
+                       codes + r0 * cols + c0, scales + g * cols + c0);
+        }
+      });
+  return q;
+}
+
 QuantizedTensor QuantizedTensor::Quantize(const Tensor& weight,
                                           int group_size) {
   HCHECK(weight.shape().rank() == 2);
   HCHECK(weight.has_data());
-  HCHECK(group_size > 0);
-  const int64_t rows = weight.shape().rows();
   const int64_t cols = weight.shape().cols();
-
-  QuantizedTensor q;
-  q.shape_ = weight.shape();
-  q.group_size_ = group_size;
-  q.num_groups_ = DivCeil(rows, group_size);
-  q.codes_.resize(static_cast<size_t>(rows * cols));
-  q.scales_.resize(static_cast<size_t>(q.num_groups_ * cols));
-
   const float* wv = weight.data().data();
-  int8_t* codes = q.codes_.data();
-  float* scales = q.scales_.data();
-  const int64_t num_groups = q.num_groups_;
-  // Columns are the parallel axis: every (group, column) cell is
-  // independent and keeps the same per-cell order, so the partition does
-  // not change a single code or scale.
-  KernelParallelFor(cols, /*grain=*/8, [&](int64_t c0, int64_t c1) {
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const int64_t r0 = g * group_size;
-      const int64_t r1 = std::min(rows, r0 + group_size);
-      for (int64_t c = c0; c < c1; ++c) {
-        float max_abs = 0.0f;
-        for (int64_t r = r0; r < r1; ++r) {
-          max_abs = std::max(max_abs, std::fabs(wv[r * cols + c]));
+  return FromTiles(weight.shape(), group_size,
+                   [&](int64_t r0, int64_t n_rows, int64_t c0, int64_t n_cols,
+                       float* tile) {
+                     for (int64_t r = 0; r < n_rows; ++r) {
+                       std::copy_n(wv + (r0 + r) * cols + c0, n_cols,
+                                   tile + r * kTileCols);
+                     }
+                   });
+}
+
+QuantizedTensor QuantizedTensor::Random(Shape shape, Rng& rng, float scale,
+                                        int group_size) {
+  HCHECK(shape.rank() == 2);
+  const int64_t cols = shape.cols();
+  const uint64_t numel = static_cast<uint64_t>(shape.numel());
+  const Rng base = rng;
+  // Element (r, c) is the (r * cols + c)-th Gaussian of the stream, as in
+  // Tensor::Random's row-major fill: each tile row jumps straight there.
+  QuantizedTensor q = FromTiles(
+      std::move(shape), group_size,
+      [&](int64_t r0, int64_t n_rows, int64_t c0, int64_t n_cols,
+          float* tile) {
+        for (int64_t r = 0; r < n_rows; ++r) {
+          Rng row = base;
+          row.Advance(Rng::kDrawsPerGaussian *
+                      static_cast<uint64_t>((r0 + r) * cols + c0));
+          row.FillGaussian(tile + r * kTileCols, n_cols, scale);
         }
-        // Symmetric 4-bit range [-8, 7]; use 7 so +max is representable.
-        float scale = max_abs > 0 ? max_abs / 7.0f : 1.0f;
-        scales[g * cols + c] = scale;
-        for (int64_t r = r0; r < r1; ++r) {
-          float v = wv[r * cols + c] / scale;
-          int code = static_cast<int>(std::lround(v));
-          code = static_cast<int>(Clamp<int64_t>(code, -8, 7));
-          codes[r * cols + c] = static_cast<int8_t>(code);
-        }
-      }
-    }
-  });
+      });
+  rng.Advance(Rng::kDrawsPerGaussian * numel);
   return q;
 }
 

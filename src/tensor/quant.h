@@ -9,8 +9,10 @@
 #define SRC_TENSOR_QUANT_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/tensor/tensor.h"
@@ -29,6 +31,14 @@ class QuantizedTensor {
   // Quantizes a materialized 2-D weight [N, K] with symmetric per-group
   // scales (group runs over `group_size` consecutive rows of one column).
   static QuantizedTensor Quantize(const Tensor& weight, int group_size = 32);
+
+  // Quantize(Tensor::Random(shape, rng, scale), group_size), byte for byte,
+  // without building the FP32 tensor: each (group x 64-column) tile draws
+  // its Gaussians from `rng`'s stream at that tile's offset and quantizes
+  // them in place, tiles in parallel under the kernel thread count. Like
+  // Tensor::Random, leaves `rng` numel() * Rng::kDrawsPerGaussian draws on.
+  static QuantizedTensor Random(Shape shape, Rng& rng, float scale,
+                                int group_size = 32);
 
   // Shape-only quantized weight for simulate-mode models.
   static QuantizedTensor Deferred(Shape shape, int group_size = 32);
@@ -58,6 +68,16 @@ class QuantizedTensor {
   Bytes byte_size() const;
 
  private:
+  // The one quantizer behind Quantize() and Random(): allocates the codes
+  // and scales, then runs (group x 64-column) tiles in parallel. Each
+  // tile's values come from `fill(r0, n_rows, c0, n_cols, tile)`, which
+  // writes rows [r0, r0 + n_rows) x columns [c0, c0 + n_cols) into `tile`
+  // (row stride 64) and must be safe to call concurrently.
+  using TileFill = std::function<void(int64_t r0, int64_t n_rows, int64_t c0,
+                                      int64_t n_cols, float* tile)>;
+  static QuantizedTensor FromTiles(Shape shape, int group_size,
+                                   const TileFill& fill);
+
   Shape shape_;
   int group_size_ = 32;
   // 4-bit signed codes in [-8, 7], one int8 per element (packing is a

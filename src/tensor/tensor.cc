@@ -14,9 +14,7 @@ Tensor Tensor::Zeros(Shape shape, DType dtype) {
 Tensor Tensor::Random(Shape shape, Rng& rng, float scale, DType dtype) {
   auto data = std::make_shared<std::vector<float>>(
       static_cast<size_t>(shape.numel()));
-  for (float& v : *data) {
-    v = static_cast<float>(rng.NextGaussian()) * scale;
-  }
+  rng.FillGaussian(data->data(), shape.numel(), scale);
   return Tensor(std::move(shape), dtype, std::move(data));
 }
 

@@ -28,7 +28,9 @@ class Tensor {
   // Materialized zero tensor.
   static Tensor Zeros(Shape shape, DType dtype = DType::kFp32);
 
-  // Materialized tensor with i.i.d. Gaussian(0, scale) entries.
+  // Materialized tensor with i.i.d. Gaussian(0, scale) entries, drawn
+  // serially in row-major order; `rng` ends numel() *
+  // Rng::kDrawsPerGaussian draws further on.
   static Tensor Random(Shape shape, Rng& rng, float scale = 1.0f,
                        DType dtype = DType::kFp32);
 

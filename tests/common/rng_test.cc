@@ -62,6 +62,36 @@ TEST(RngTest, ForkIsIndependentStream) {
   EXPECT_NE(child.NextU64(), parent_copy.NextU64());
 }
 
+TEST(RngTest, AdvanceEqualsThatManyDraws) {
+  for (uint64_t n : {0ULL, 1ULL, 4ULL, 1000ULL}) {
+    Rng stepped(17);
+    for (uint64_t i = 0; i < n; ++i) {
+      stepped.NextU64();
+    }
+    Rng jumped(17);
+    jumped.Advance(n);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(jumped.NextU64(), stepped.NextU64()) << "n = " << n;
+    }
+  }
+}
+
+TEST(RngTest, AdvanceWrapsLikeTheCounter) {
+  // 2^64 - 1 draws ahead and one more is a full turn of the counter.
+  Rng wrapped(17);
+  wrapped.Advance(~0ULL);
+  wrapped.NextU64();
+  Rng fresh(17);
+  EXPECT_EQ(wrapped.NextU64(), fresh.NextU64());
+  // Jumps compose modulo 2^64.
+  Rng a(5);
+  a.Advance(~0ULL - 2);
+  a.Advance(10);
+  Rng b(5);
+  b.Advance(7);
+  EXPECT_EQ(a.NextU64(), b.NextU64());
+}
+
 TEST(RngTest, NextBelowInRange) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {

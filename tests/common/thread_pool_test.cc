@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -114,6 +115,31 @@ TEST(ThreadPoolTest, WorkerCountGrowsLazilyAndIsCapped) {
   pool.ParallelFor(100000, /*threads=*/1 << 20, /*grain=*/1,
                    [](int64_t, int64_t) {});
   EXPECT_LE(pool.worker_count(), ThreadPool::kMaxWorkers);
+}
+
+TEST(ThreadPoolTest, JobNeverRunsOnMoreThreadsThanAsked) {
+  // Workers spawned by a wide job stay parked through a narrower one: a
+  // 2-thread job runs on the caller plus at most one worker.
+  const int64_t cores = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool;
+  pool.ParallelFor(1000, cores, /*grain=*/1, [](int64_t, int64_t) {});
+  EXPECT_EQ(pool.worker_count(), static_cast<int>(cores) - 1);
+  for (int job = 0; job < 5; ++job) {
+    std::mutex mu;
+    std::vector<std::thread::id> ids;
+    pool.ParallelFor(64, /*threads=*/2, /*grain=*/1,
+                     [&](int64_t, int64_t) {
+                       // Long enough chunks that every parked worker would
+                       // wake in time to claim one.
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(2));
+                       std::lock_guard<std::mutex> lock(mu);
+                       ids.push_back(std::this_thread::get_id());
+                     });
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    EXPECT_LE(ids.size(), 2u) << "job " << job;
+  }
 }
 
 TEST(ThreadPoolTest, SharedSingletonIsStable) {

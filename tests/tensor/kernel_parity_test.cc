@@ -6,6 +6,7 @@
 // FP accumulation order, the paths must agree to the last bit — every
 // comparison below is MaxAbsDiff == 0, not a tolerance.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -136,8 +137,9 @@ TEST(KernelParityTest, GqaAttentionBitExactAcrossThreadCounts) {
 }
 
 TEST(KernelParityTest, FullGroupAndRaggedGroupQuantizeAgree) {
-  // Quantization itself is parallelized per column; codes and scales must
-  // be identical at every thread count, including a ragged final group.
+  // Quantization itself runs (group x 64-column) tiles in parallel; codes
+  // and scales must be identical at every thread count, including a
+  // ragged final group.
   Rng rng(109);
   Tensor w = Tensor::Random(Shape({70, 9}), rng, 0.1f);  // 70 % 32 != 0
   KernelThreadScope ref(1);
@@ -150,6 +152,56 @@ TEST(KernelParityTest, FullGroupAndRaggedGroupQuantizeAgree) {
       for (int64_t c = 0; c < 9; ++c) {
         EXPECT_EQ(q1.group_scale(g * 32, c), qn.group_scale(g * 32, c));
       }
+    }
+  }
+}
+
+bool SameCodesAndScales(const QuantizedTensor& a, const QuantizedTensor& b) {
+  if (a.shape() != b.shape() || a.group_size() != b.group_size()) {
+    return false;
+  }
+  const int64_t rows = a.shape().rows();
+  const int64_t cols = a.shape().cols();
+  const int64_t groups = (rows + a.group_size() - 1) / a.group_size();
+  return std::equal(a.codes_data(), a.codes_data() + rows * cols,
+                    b.codes_data()) &&
+         std::equal(a.scales_data(), a.scales_data() + groups * cols,
+                    b.scales_data(),
+                    [](float x, float y) {
+                      return std::bit_cast<uint32_t>(x) ==
+                             std::bit_cast<uint32_t>(y);
+                    });
+}
+
+TEST(KernelParityTest, SynthesizedWeightEqualsQuantizedRandomTensor) {
+  // QuantizedTensor::Random draws each tile's Gaussians at its offset in
+  // the stream: it must equal quantizing the serially drawn tensor byte for
+  // byte, and leave the generator where Tensor::Random does, at every
+  // thread count and on shapes ragged in both tile dimensions.
+  const struct {
+    int64_t rows, cols;
+    int group;
+  } shapes[] = {{70, 9, 32}, {64, 128, 32}, {33, 130, 8}, {1, 65, 32},
+                {100, 200, 48}, {5, 64, 4}};
+  for (const auto& sh : shapes) {
+    const Shape shape({sh.rows, sh.cols});
+    Rng serial(123);
+    QuantizedTensor expected;
+    {
+      KernelThreadScope ref(1);
+      expected = QuantizedTensor::Quantize(
+          Tensor::Random(shape, serial, 0.1f), sh.group);
+    }
+    for (int threads : {1, 2, 3, 8, 0}) {
+      KernelThreadScope scope(threads);
+      Rng fused(123);
+      const QuantizedTensor got =
+          QuantizedTensor::Random(shape, fused, 0.1f, sh.group);
+      EXPECT_TRUE(SameCodesAndScales(expected, got))
+          << sh.rows << "x" << sh.cols << " group " << sh.group << " at "
+          << threads << " threads";
+      Rng after = serial;
+      EXPECT_EQ(fused.NextU64(), after.NextU64());
     }
   }
 }

@@ -1,6 +1,9 @@
 #include "src/tensor/quant.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,59 @@ TEST(QuantTest, ExactForScaledIntegers) {
   Tensor back2 = QuantizedTensor::Quantize(w2, 8).Dequantize();
   EXPECT_EQ(Tensor::MaxAbsDiff(w2, back2), 0.0f);
   (void)back;
+}
+
+TEST(QuantTest, RoundsHalfAwayFromZeroLikeLround) {
+  // Max 7 makes the scale exactly 1, so each code is lround(value).
+  const std::vector<float> vals = {7.0f,  0.5f,        -0.5f,       1.5f,
+                                   -1.5f, 2.5f,        -2.5f,       6.5f,
+                                   -6.5f, 0.49999997f, -0.49999997f,
+                                   3.4999998f, -7.0f, 0.0f, -0.0f, 4.25f};
+  const int64_t n = static_cast<int64_t>(vals.size());
+  const QuantizedTensor q =
+      QuantizedTensor::Quantize(Tensor::FromData(Shape({n, 1}), vals), 16);
+  ASSERT_EQ(q.group_scale(0, 0), 1.0f);
+  for (int64_t r = 0; r < n; ++r) {
+    const long expected = std::clamp(std::lround(vals[r]), -8L, 7L);
+    EXPECT_EQ(q.code_at(r, 0), expected) << "value " << vals[r];
+  }
+}
+
+TEST(QuantTest, NonFiniteAndSubnormalGroupsClampTheQuotient) {
+  // Column 0: an infinity makes the scale infinite; column 1: a NaN is
+  // skipped by the max; column 2: subnormals whose scale rounds to 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> vals = {inf,  nan, tiny,  -inf, 0.5f, -tiny,
+                                   1.0f, 2.0f, 0.0f, -2.0f, -1.0f, tiny};
+  const QuantizedTensor q =
+      QuantizedTensor::Quantize(Tensor::FromData(Shape({4, 3}), vals), 4);
+  for (int64_t r = 0; r < 4; ++r) {
+    for (int64_t c = 0; c < 3; ++c) {
+      const float x = vals[static_cast<size_t>(r * 3 + c)] /
+                      q.group_scale(r, c);
+      // lround of the quotient clamped to [-8, 7]; NaN gives -8.
+      const long expected =
+          std::isnan(x) ? -8L
+                        : std::lround(std::clamp(x, -8.0f, 7.0f));
+      EXPECT_EQ(q.code_at(r, c), expected) << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(q.group_scale(0, 0), inf);
+  EXPECT_EQ(q.group_scale(0, 1), 2.0f / 7.0f);
+}
+
+TEST(QuantTest, NanAmongFiniteValuesGetsTheLowestCode) {
+  // The NaN is skipped by the group max, so the scale stays finite.
+  const std::vector<float> vals = {1.0f, std::nanf(""), 7.0f, -3.0f};
+  const QuantizedTensor q =
+      QuantizedTensor::Quantize(Tensor::FromData(Shape({4, 1}), vals), 4);
+  EXPECT_EQ(q.group_scale(0, 0), 1.0f);
+  EXPECT_EQ(q.code_at(0, 0), 1);
+  EXPECT_EQ(q.code_at(1, 0), -8);
+  EXPECT_EQ(q.code_at(2, 0), 7);
+  EXPECT_EQ(q.code_at(3, 0), -3);
 }
 
 TEST(QuantTest, ByteSizeIsHalfBytePerElementPlusScales) {

@@ -36,6 +36,20 @@ TEST(TensorTest, RandomIsDeterministicPerSeed) {
   EXPECT_EQ(Tensor::MaxAbsDiff(a, b), 0.0f);
 }
 
+TEST(TensorTest, RandomDrawsFourPerElementInRowMajorOrder) {
+  // Callers reuse the generator after Tensor::Random, and the fused weight
+  // synthesis jumps to element (r, c) at draw 4 * (r * cols + c).
+  Rng rng(5);
+  Tensor t = Tensor::Random(Shape({3, 5}), rng, 0.5f);
+  Rng serial(5);
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    EXPECT_EQ(t.at(i), static_cast<float>(serial.NextGaussian()) * 0.5f);
+  }
+  Rng jumped(5);
+  jumped.Advance(Rng::kDrawsPerGaussian * 15);
+  EXPECT_EQ(rng.NextU64(), jumped.NextU64());
+}
+
 TEST(TensorTest, SliceRows) {
   Tensor t = Tensor::FromData(Shape({3, 2}), {1, 2, 3, 4, 5, 6});
   Tensor s = t.SliceRows(1, 3);

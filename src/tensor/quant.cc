@@ -1,7 +1,6 @@
 #include "src/tensor/quant.h"
 
 #include <algorithm>
-#include <cfloat>
 #include <cmath>
 
 #include "src/common/math_util.h"
@@ -31,42 +30,27 @@ inline int RoundHalfAway(float x) {
 void QuantizeTile(const float* tile, int64_t n_rows, int64_t n_cols,
                   int64_t cols, int8_t* codes, float* scales) {
   float max_abs[kTileCols] = {};
-  float non_finite[kTileCols] = {};  // stays 0 unless an inf or NaN is seen
   for (int64_t r = 0; r < n_rows; ++r) {
     const float* row = tile + r * kTileCols;
     for (int64_t c = 0; c < kTileCols; ++c) {
       max_abs[c] = std::max(max_abs[c], std::fabs(row[c]));
-      non_finite[c] += row[c] * 0.0f;
     }
   }
   float scale[kTileCols];
-  // When every value is finite and the scale is normal, each quotient is
-  // at most 7 plus rounding, so codes can be rounded before they are
-  // clamped. A tile holding an infinity, a NaN or a column of only
-  // subnormal values (stale lanes included) clamps each quotient first;
-  // that keeps the lround result (NaN -> -8) without an out-of-range
-  // conversion.
-  bool tame = true;
   for (int64_t c = 0; c < kTileCols; ++c) {
     // Symmetric 4-bit range [-8, 7]; use 7 so +max is representable.
     scale[c] = max_abs[c] > 0 ? max_abs[c] / 7.0f : 1.0f;
-    tame = tame && non_finite[c] == 0 &&
-           (max_abs[c] == 0 || max_abs[c] >= 7.0f * FLT_MIN);
   }
   std::copy_n(scale, n_cols, scales);
   int8_t row_codes[kTileCols];
   for (int64_t r = 0; r < n_rows; ++r) {
     const float* row = tile + r * kTileCols;
-    if (tame) {
-      for (int64_t c = 0; c < kTileCols; ++c) {
-        const int code = RoundHalfAway(row[c] / scale[c]);
-        row_codes[c] = static_cast<int8_t>(std::min(7, std::max(-8, code)));
-      }
-    } else {
-      for (int64_t c = 0; c < kTileCols; ++c) {
-        const float x = std::min(7.0f, std::max(-8.0f, row[c] / scale[c]));
-        row_codes[c] = static_cast<int8_t>(RoundHalfAway(x));
-      }
+    for (int64_t c = 0; c < kTileCols; ++c) {
+      // Clamping before rounding gives the codes of rounding first for
+      // every finite quotient, and maps NaN to -8 and an infinite one
+      // (a zero scale from subnormal inputs) to the nearest end.
+      const float x = std::min(7.0f, std::max(-8.0f, row[c] / scale[c]));
+      row_codes[c] = static_cast<int8_t>(RoundHalfAway(x));
     }
     std::copy_n(row_codes, n_cols, codes + r * cols);
   }
